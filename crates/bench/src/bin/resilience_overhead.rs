@@ -9,10 +9,6 @@
 //! All three produce bit-identical states (asserted), so the table is a
 //! pure throughput comparison of the recovery machinery.
 
-// The deprecated wrapper is exercised on purpose: this bin times the
-// driver the `Run` builder delegates to.
-#![allow(deprecated)]
-
 use gw_bench::grids::uniform_grid;
 use gw_bench::table::num;
 use gw_bench::TablePrinter;
@@ -20,10 +16,9 @@ use gw_bssn::init::LinearWaveData;
 use gw_bssn::BssnParams;
 use gw_comm::world::WorldConfig;
 use gw_comm::CommFaultPlan;
-use gw_core::multi::{
-    evolve_distributed_cfg, evolve_distributed_resilient, KillSpec, ResilienceConfig,
-};
-use gw_core::solver::fill_field;
+use gw_core::multi::{evolve_distributed_cfg, KillSpec, ResilienceConfig};
+use gw_core::run::Run;
+use gw_core::solver::{fill_field, SolverConfig};
 use gw_core::supervisor::DegradationPolicy;
 use gw_octree::Domain;
 use std::time::{Duration, Instant};
@@ -77,11 +72,17 @@ fn main() {
     };
     let cfg =
         WorldConfig { heartbeat_interval: Duration::from_millis(5), ..WorldConfig::default() };
+    let run = Run::new(SolverConfig { params, ..SolverConfig::default() })
+        .mesh(uniform_grid(domain, 2))
+        .init(move |p, out| wave.evaluate(p, out))
+        .steps(steps)
+        .distributed(ranks)
+        .world(cfg)
+        .resilience(resilience);
     let t0 = Instant::now();
-    let rolled =
-        evolve_distributed_resilient(&mesh, &u0, ranks, steps, 0.25, params, cfg, &resilience)
-            .expect("one death within the retry budget must recover");
+    let rolled = run.execute().expect("one death within the retry budget must recover");
     let t_roll = t0.elapsed().as_secs_f64();
+    let rolled = rolled.distributed.expect("distributed runs report their outcome");
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(rolled.retries, 1, "exactly one rollback expected");
     for (a, b) in baseline.state.as_slice().iter().zip(rolled.result.state.as_slice().iter()) {

@@ -184,15 +184,6 @@ pub struct WorldConfig {
     /// between checks of the per-rank alive view — so a dead peer is
     /// detected within roughly this interval.
     pub heartbeat_interval: Duration,
-    /// Use the dependency-aware overlapped halo-exchange path in the
-    /// distributed drivers: post sends early, evaluate interior octants
-    /// while ghosts are in flight, finish boundary octants on arrival.
-    /// Bit-identical to the blocking path; off by default.
-    pub overlap: bool,
-    /// Worker threads for the overlapped interior/boundary pipeline,
-    /// per rank; 0 resolves like `gw_par::resolve_threads` (the
-    /// `GW_THREADS` env var, then the machine's parallelism).
-    pub overlap_threads: usize,
 }
 
 impl Default for WorldConfig {
@@ -204,8 +195,6 @@ impl Default for WorldConfig {
             max_retransmits: 8,
             retry_backoff: Duration::from_millis(2),
             heartbeat_interval: Duration::from_millis(50),
-            overlap: false,
-            overlap_threads: 0,
         }
     }
 }

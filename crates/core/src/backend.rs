@@ -21,12 +21,13 @@ use gw_expr::schedule::{schedule, ScheduleStrategy};
 use gw_expr::symbols::{NUM_INPUTS, NUM_VARS};
 use gw_expr::tape::Tape;
 use gw_gpu_sim::{CounterSnapshot, Device, LaunchConfig};
-use gw_mesh::scatter::{fill_boundary_padding_par, fill_patches_scatter_par};
-use gw_mesh::sync_interfaces_par;
+use gw_mesh::grid::SyncCopy;
+use gw_mesh::scatter::{fill_boundary_regions_par, fill_patches_scatter_from, sync_copies_par};
 use gw_mesh::{Field, Mesh, PatchField};
 use gw_obs::{Counter, Phase, Probe};
 use gw_par::{tree_reduce, ThreadPool, UnsafeSlice};
 use gw_stencil::patch::{PatchLayout, BLOCK_VOLUME, PADDING, PATCH_VOLUME, POINTS_PER_SIDE};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Resident buffer slots used by the RK4 driver.
@@ -193,17 +194,100 @@ pub trait Backend: Send {
 /// `threads = 1` it degenerates to the original sequential reference;
 /// results are bit-identical at every thread count (every output slot has
 /// exactly one writer, and reductions are fixed-order — see DESIGN.md).
+///
+/// A backend evolves the octants it owns: the whole mesh on a
+/// single rank, one SFC range on a distributed rank. Every kernel touches
+/// owned octants (and their patches) only; the other blocks of the
+/// buffers hold the ghosts a rank receives.
 pub struct CpuBackend {
     params: BssnParams,
     tape: Option<Tape>,
     bufs: [Field; NUM_BUFS],
     patches: PatchField,
     masks: Vec<u8>,
+    owned: Owned,
     pool: Arc<ThreadPool>,
     probe: Probe,
-    n_oct: usize,
     /// Accumulated (derivative flops, A flops) across eval_rhs calls.
     pub flops: (u64, u64),
+}
+
+/// Which sources one part of a distributed stage reads: the rank's own
+/// blocks (available at once) or the ghost blocks (after the halo
+/// exchange completes).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Sources {
+    /// The owned blocks.
+    Owned,
+    /// The ghost blocks received from other ranks.
+    Ghost,
+}
+
+/// The octants a [`CpuBackend`] evolves, split by what their stages read.
+/// Built once per backend from the mesh's gather map and sync list.
+pub(crate) struct Owned {
+    pub(crate) range: Range<usize>,
+    /// The owned octants, in order (the sources of the owned scatter).
+    octants: Vec<usize>,
+    /// Owned octants whose patches read only owned blocks — their RHS
+    /// can run while the ghosts are still in flight.
+    pub(crate) interior: Vec<usize>,
+    /// Owned octants with at least one ghost source.
+    pub(crate) boundary: Vec<usize>,
+    /// Non-owned octants that scatter into owned patches.
+    pub(crate) ghosts: Vec<usize>,
+    /// Physical-boundary padding regions of the owned patches.
+    regions: Vec<(u32, [i8; 3])>,
+    /// Syncs into owned octants from owned sources, applicable before
+    /// the ghosts arrive, in mesh order.
+    pub(crate) syncs_owned: Vec<SyncCopy>,
+    /// The remaining syncs into owned octants, in mesh order.
+    pub(crate) syncs_ghost: Vec<SyncCopy>,
+}
+
+impl Owned {
+    pub(crate) fn new(mesh: &Mesh, range: Range<usize>) -> Self {
+        let is_owned = |o: u32| range.contains(&(o as usize));
+        let (interior, boundary): (Vec<usize>, Vec<usize>) =
+            range.clone().partition(|&e| mesh.gather_of(e).iter().all(|op| is_owned(op.src)));
+        let mut ghosts: Vec<usize> = boundary
+            .iter()
+            .flat_map(|&e| mesh.gather_of(e).iter().map(|op| op.src))
+            .filter(|&s| !is_owned(s))
+            .map(|s| s as usize)
+            .collect();
+        ghosts.sort_unstable();
+        ghosts.dedup();
+        let regions = mesh.boundary_regions.iter().filter(|r| is_owned(r.0)).copied().collect();
+        let syncs: Vec<SyncCopy> =
+            mesh.syncs.iter().filter(|c| is_owned(c.dst_oct)).copied().collect();
+        let (mut syncs_owned, mut syncs_ghost): (Vec<SyncCopy>, Vec<SyncCopy>) =
+            syncs.iter().partition(|c| is_owned(c.src_oct));
+        // Syncs may chain (a destination read as a later sync's source —
+        // possible at ≥ 3 refinement levels) or share a destination;
+        // either makes their order observable, so the split is only
+        // taken when the owned sync set is provably order-free. Otherwise
+        // every owned sync runs after the ghosts arrive, in mesh order.
+        if !syncs_owned.is_empty() && !syncs_ghost.is_empty() {
+            let mut written = std::collections::HashSet::new();
+            let order_free = syncs.iter().all(|c| written.insert((c.dst_oct, c.dst_idx)))
+                && !syncs.iter().any(|c| written.contains(&(c.src_oct, c.src_idx)));
+            if !order_free {
+                syncs_owned = Vec::new();
+                syncs_ghost = syncs;
+            }
+        }
+        Self {
+            octants: range.clone().collect(),
+            range,
+            interior,
+            boundary,
+            ghosts,
+            regions,
+            syncs_owned,
+            syncs_ghost,
+        }
+    }
 }
 
 impl CpuBackend {
@@ -215,57 +299,112 @@ impl CpuBackend {
     /// Backend with an explicit worker count (`0` = `GW_THREADS` env or
     /// available parallelism).
     pub fn with_threads(mesh: &Mesh, params: BssnParams, kind: RhsKind, threads: usize) -> Self {
-        let tape = build_tape(kind, params);
+        Self::build(mesh, params, kind, threads, 0..mesh.n_octants())
+    }
+
+    /// The backend of one distributed rank: it evolves the SFC octant
+    /// range `owned` with the pointwise `A` on `threads` workers. Its
+    /// stages run in two parts ([`CpuBackend::eval_rhs_part`],
+    /// [`CpuBackend::sync_interfaces_part`]) around the halo exchange.
+    pub fn for_rank(mesh: &Mesh, params: BssnParams, threads: usize, owned: Range<usize>) -> Self {
+        Self::build(mesh, params, RhsKind::Pointwise, threads, owned)
+    }
+
+    fn build(
+        mesh: &Mesh,
+        params: BssnParams,
+        kind: RhsKind,
+        threads: usize,
+        owned: Range<usize>,
+    ) -> Self {
         let n = mesh.n_octants();
         Self {
             params,
-            tape,
+            tape: build_tape(kind, params),
             bufs: std::array::from_fn(|_| Field::zeros(NUM_VARS, n)),
             patches: PatchField::zeros(NUM_VARS, n),
             masks: boundary_face_masks(mesh),
+            owned: Owned::new(mesh, owned),
             pool: ThreadPool::shared(threads),
             probe: Probe::disabled(),
-            n_oct: n,
             flops: (0, 0),
         }
     }
-}
 
-impl Backend for CpuBackend {
-    fn name(&self) -> &'static str {
-        "cpu"
+    /// A resident buffer (a rank reads its owned blocks to send them).
+    pub fn field(&self, b: Buf) -> &Field {
+        &self.bufs[buf_index(b)]
     }
 
-    fn probe(&self) -> &Probe {
-        &self.probe
+    /// A resident buffer, writable (a rank stores received ghosts).
+    pub fn field_mut(&mut self, b: Buf) -> &mut Field {
+        &mut self.bufs[buf_index(b)]
     }
 
-    fn set_probe(&mut self, probe: Probe) {
-        self.probe = probe;
+    /// One part of a distributed RHS evaluation, under the `o2p` and
+    /// `rhs` phases. [`Sources::Owned`] scatters the owned blocks of
+    /// `input`, pads the physical boundary and evaluates the interior
+    /// octants; [`Sources::Ghost`] scatters the received ghosts and
+    /// evaluates the boundary octants. The two parts write disjoint
+    /// patch points and output blocks, so together they equal
+    /// [`Backend::eval_rhs`] bit for bit.
+    pub fn eval_rhs_part(&mut self, mesh: &Mesh, input: Buf, output: Buf, part: Sources) {
+        assert_ne!(buf_index(input), buf_index(output));
+        let probe = self.probe.clone();
+        let octs = match part {
+            Sources::Owned => self.owned.interior.len(),
+            Sources::Ghost => self.owned.boundary.len(),
+        };
+        probe.add(Counter::PatchesProcessed, octs as u64);
+        probe.add(Counter::PointsScattered, (NUM_VARS * octs * PATCH_VOLUME) as u64);
+        {
+            let _span = probe.start(Phase::O2p);
+            self.scatter(mesh, input, part);
+        }
+        let _span = probe.start(Phase::Rhs);
+        self.rhs(mesh, output, part);
     }
 
-    fn n_threads(&self) -> usize {
-        self.pool.n_threads()
+    /// One part of the interface sync on the solution, under the `p2o`
+    /// phase: the owned-source syncs ([`Sources::Owned`]) or the rest.
+    pub fn sync_interfaces_part(&mut self, part: Sources) {
+        let _span = self.probe.start(Phase::P2o);
+        let syncs = match part {
+            Sources::Owned => &self.owned.syncs_owned,
+            Sources::Ghost => &self.owned.syncs_ghost,
+        };
+        sync_copies_par(syncs, &mut self.bufs[0], &self.pool);
     }
 
-    fn scatter_stats(&self) -> (u64, u64) {
-        (self.n_oct as u64, (NUM_VARS * self.n_oct * PATCH_VOLUME) as u64)
+    /// Scatter `input` from one source set into the owned patches (the
+    /// owned part also fills the physical-boundary padding).
+    fn scatter(&mut self, mesh: &Mesh, input: Buf, part: Sources) {
+        let field = &self.bufs[buf_index(input)];
+        let owned = &self.owned;
+        let sources = match part {
+            Sources::Owned => &owned.octants,
+            Sources::Ghost => &owned.ghosts,
+        };
+        fill_patches_scatter_from(
+            mesh,
+            field,
+            &mut self.patches,
+            sources,
+            owned.range.clone(),
+            &self.pool,
+        );
+        if part == Sources::Owned {
+            fill_boundary_regions_par(&owned.regions, &mut self.patches, NUM_VARS, &self.pool);
+        }
     }
 
-    fn upload_raw(&mut self, u: &Field) {
-        self.bufs[0] = u.clone();
-    }
-
-    fn download_raw(&self) -> Field {
-        self.bufs[0].clone()
-    }
-
-    fn o2p_raw(&mut self, mesh: &Mesh, input: Buf) {
-        fill_patches_scatter_par(mesh, &self.bufs[buf_index(input)], &mut self.patches, &self.pool);
-        fill_boundary_padding_par(mesh, &mut self.patches, NUM_VARS, &self.pool);
-    }
-
-    fn rhs_raw(&mut self, mesh: &Mesh, output: Buf) {
+    /// The RHS of the interior ([`Sources::Owned`]) or boundary octants
+    /// into `output`, from the current patches.
+    fn rhs(&mut self, mesh: &Mesh, output: Buf, part: Sources) {
+        let octs = match part {
+            Sources::Owned => &self.owned.interior,
+            Sources::Ghost => &self.owned.boundary,
+        };
         let n = mesh.n_octants();
         let patches = &self.patches;
         let masks = &self.masks;
@@ -278,12 +417,13 @@ impl Backend for CpuBackend {
         // workspace (and the Sommerfeld staging buffers riding with it)
         // is rebuilt whenever the tape slot count changes — never per
         // octant, which `Counter::WorkspaceAllocs` asserts.
-        let per_oct: Vec<(u64, u64)> = self.pool.map(n, |e| {
+        let per_oct: Vec<(u64, u64)> = self.pool.map(octs.len(), |i| {
             type Cached = (usize, RhsWorkspace, Vec<f64>, Vec<f64>);
             thread_local! {
                 static WS: std::cell::RefCell<Option<Cached>> =
                     const { std::cell::RefCell::new(None) };
             }
+            let e = octs[i];
             let h = mesh.octants[e].h;
             let patch_refs: [&[f64]; NUM_VARS] = std::array::from_fn(|v| patches.patch(v, e));
             WS.with(|cell| {
@@ -329,13 +469,52 @@ impl Backend for CpuBackend {
         self.flops.0 += df;
         self.flops.1 += af;
     }
+}
+
+impl Backend for CpuBackend {
+    fn name(&self) -> &'static str {
+        "cpu"
+    }
+
+    fn probe(&self) -> &Probe {
+        &self.probe
+    }
+
+    fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
+    }
+
+    fn n_threads(&self) -> usize {
+        self.pool.n_threads()
+    }
+
+    fn scatter_stats(&self) -> (u64, u64) {
+        let n = self.owned.range.len();
+        (n as u64, (NUM_VARS * n * PATCH_VOLUME) as u64)
+    }
+
+    fn upload_raw(&mut self, u: &Field) {
+        self.bufs[0] = u.clone();
+    }
+
+    fn download_raw(&self) -> Field {
+        self.bufs[0].clone()
+    }
+
+    fn o2p_raw(&mut self, mesh: &Mesh, input: Buf) {
+        self.scatter(mesh, input, Sources::Owned);
+        self.scatter(mesh, input, Sources::Ghost);
+    }
+
+    fn rhs_raw(&mut self, mesh: &Mesh, output: Buf) {
+        self.rhs(mesh, output, Sources::Owned);
+        self.rhs(mesh, output, Sources::Ghost);
+    }
 
     fn axpy_raw(&mut self, y: Buf, a: f64, x: Buf) {
         let (yi, xi) = (buf_index(y), buf_index(x));
-        assert_ne!(yi, xi);
-        let pool = self.pool.clone();
         let (ys, xs) = two_mut(&mut self.bufs, yi, xi);
-        ys.axpy_par(a, xs, &pool);
+        ys.axpy_octants_par(a, xs, self.owned.range.clone(), &self.pool);
     }
 
     fn assign_axpy_raw(&mut self, y: Buf, base: Buf, a: f64, x: Buf) {
@@ -349,21 +528,18 @@ impl Backend for CpuBackend {
             let ys = &mut *ptr.add(yi);
             let bs = &*ptr.add(bi);
             let xs = &*ptr.add(xi);
-            ys.assign_axpy_par(bs, a, xs, &self.pool);
+            ys.assign_axpy_octants_par(bs, a, xs, self.owned.range.clone(), &self.pool);
         }
     }
 
     fn copy_raw(&mut self, dst: Buf, src: Buf) {
-        let (di, si) = (buf_index(dst), buf_index(src));
-        assert_ne!(di, si);
-        let pool = self.pool.clone();
-        let (d, s) = two_mut(&mut self.bufs, di, si);
-        d.copy_from_par(s, &pool);
+        let (d, s) = two_mut(&mut self.bufs, buf_index(dst), buf_index(src));
+        d.copy_octants_par(s, self.owned.range.clone(), &self.pool);
     }
 
-    fn sync_interfaces_raw(&mut self, mesh: &Mesh) {
-        let pool = self.pool.clone();
-        sync_interfaces_par(mesh, &mut self.bufs[0], &pool);
+    fn sync_interfaces_raw(&mut self, _mesh: &Mesh) {
+        sync_copies_par(&self.owned.syncs_owned, &mut self.bufs[0], &self.pool);
+        sync_copies_par(&self.owned.syncs_ghost, &mut self.bufs[0], &self.pool);
     }
 }
 

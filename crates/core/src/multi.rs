@@ -1,36 +1,30 @@
 //! Distributed (multi-rank / multi-GPU) evolution.
 //!
-//! Octants are partitioned across ranks along the space-filling curve;
-//! each rank evolves its contiguous range, exchanging ghost octant blocks
-//! with neighbor ranks before every RHS evaluation (the `halo_exchange`
-//! of Algorithm 1). The distributed result is bit-identical to the
-//! single-rank run — the per-point arithmetic is unchanged — which the
-//! tests assert; the value of this module for the paper's experiments is
-//! the *metered traffic* feeding the scaling models (Figs. 17/18/20).
-//!
-//! With [`WorldConfig::overlap`] set, each RK stage runs the
-//! dependency-aware overlapped schedule instead of the blocking one:
-//! sends are posted first, the rank's *interior* octants (those whose
-//! gather stencil reads only owned blocks) are evaluated on a worker
-//! pool while the ghosts are in flight, and the *boundary* octants
-//! finish after the nonblocking receives complete. The classification
-//! is static per partition, every output slot keeps exactly one writer,
-//! and reductions stay fixed-order, so the overlapped result is
-//! bit-identical to the blocking one (see DESIGN.md §11).
+//! Octants are partitioned across ranks along the space-filling curve.
+//! Each rank evolves its contiguous range with the single-rank pipeline —
+//! a [`CpuBackend`] over its owned octants, stepped by [`Rk4::try_step`]
+//! — and exchanges ghost octant blocks with its neighbors around every
+//! RHS evaluation and the closing interface sync (the `halo_exchange` of
+//! Algorithm 1). Each exchange hides behind compute: the sends are posted
+//! first, the work that reads only owned blocks (the interior octants'
+//! RHS, the owned-source syncs) runs while the ghosts are in flight, and
+//! the rest follows once the receives complete. Every patch point and
+//! output block keeps exactly one writer, so the result is bit-identical
+//! to the single-rank run at any rank and thread count (DESIGN.md §11);
+//! the *metered traffic* feeds the scaling models (Figs. 17/18/20).
 
+use crate::backend::{Backend, Buf, CpuBackend, Sources};
 use crate::checkpoint::{self, CheckpointError, DistManifest, Shard};
-use gw_bssn::rhs::{bssn_rhs_patch, RhsMode, RhsWorkspace};
+use crate::rk4::Rk4;
+use crate::solver::SolverConfig;
 use gw_bssn::BssnParams;
 use gw_comm::world::WorldConfig;
 use gw_comm::{CommError, GhostPlan, GhostSchedule, RankCtx, RecvHandle, World};
-use gw_expr::symbols::{NUM_INPUTS, NUM_VARS};
-use gw_mesh::gather::fill_patches_gather;
-use gw_mesh::{Field, Mesh, PatchField};
+use gw_expr::symbols::NUM_VARS;
+use gw_mesh::{Field, Mesh};
 use gw_obs::{Counter, Phase, Probe};
-use gw_octree::partition::{partition_uniform, PartitionMap};
-use gw_par::{ThreadPool, UnsafeSlice};
-use gw_stencil::interp::{ProlongWorkspace, Prolongation, FINE_SIDE};
-use gw_stencil::patch::{PatchLayout, BLOCK_VOLUME, PADDING, PATCH_VOLUME, POINTS_PER_SIDE};
+use gw_octree::partition::partition_uniform;
+use gw_stencil::patch::BLOCK_VOLUME;
 use std::time::Instant;
 
 /// Result of a distributed run.
@@ -54,69 +48,11 @@ pub fn dependencies(mesh: &Mesh) -> Vec<(u32, u32)> {
     deps
 }
 
-/// Exchange ghost blocks of `field` according to the plan (all 24 vars of
-/// each listed octant). Receives are checked: a dropped, truncated, or
-/// corrupted message surfaces as a [`CommError`] — the field is never
-/// partially updated from a bad payload.
-fn exchange(
-    ctx: &RankCtx<'_>,
-    plan: &GhostPlan,
-    part: &PartitionMap,
-    field: &mut Field,
-    tag: u64,
-) -> Result<(), CommError> {
-    let r = ctx.rank();
-    let n = field.n_oct;
-    // Post sends.
-    for q in 0..ctx.size() {
-        let list = &plan.sends[r][q];
-        if list.is_empty() {
-            continue;
-        }
-        let mut payload = Vec::with_capacity(list.len() * NUM_VARS * BLOCK_VOLUME);
-        for &oct in list {
-            for v in 0..NUM_VARS {
-                payload.extend_from_slice(field.block(v, oct as usize));
-            }
-        }
-        ctx.send(q, tag, &payload);
-    }
-    // Receive.
-    for q in 0..ctx.size() {
-        let list = &plan.recvs[r][q];
-        if list.is_empty() {
-            continue;
-        }
-        let payload = ctx.try_recv(q, tag)?;
-        // The CRC header guarantees integrity; this checks the *schedule*
-        // agreed with the sender.
-        if payload.len() != list.len() * NUM_VARS * BLOCK_VOLUME {
-            return Err(CommError::Truncated {
-                src: q,
-                dst: r,
-                tag,
-                declared: list.len() * NUM_VARS * BLOCK_VOLUME * 8,
-                got: payload.len() * 8,
-            });
-        }
-        let mut off = 0;
-        for &oct in list {
-            for v in 0..NUM_VARS {
-                field.block_mut(v, oct as usize).copy_from_slice(&payload[off..off + BLOCK_VOLUME]);
-                off += BLOCK_VOLUME;
-            }
-        }
-    }
-    let _ = (n, part);
-    Ok(())
-}
-
 /// Message tag for RK stage `stage` (0..=3) or the interface sync
 /// (`STAGE_SYNC`) of global step `step`. Qualifying tags with the stage
 /// *and* step keeps a retransmitted straggler from one stage from ever
-/// matching the next stage's receive, on both the blocking and the
-/// overlapped path, and stays well below the collective tag space
-/// (`1 << 63`).
+/// matching the next stage's receive, and stays well below the
+/// collective tag space (`1 << 63`).
 fn stage_tag(step: usize, stage: u64) -> u64 {
     debug_assert!(stage <= STAGE_SYNC);
     ((step as u64) << 3) | stage
@@ -125,9 +61,9 @@ fn stage_tag(step: usize, stage: u64) -> u64 {
 /// The post-update interface-sync exchange slot of [`stage_tag`].
 const STAGE_SYNC: u64 = 4;
 
-/// Post the sends and nonblocking receives of one halo exchange and
-/// return the in-flight receive handles (one per neighbor, in rank
-/// order). The payload schedule is exactly [`exchange`]'s.
+/// Post the sends and nonblocking receives of one halo exchange (all 24
+/// vars of each planned octant) and return the in-flight receive handles
+/// (one per neighbor, in rank order).
 fn post_exchange<'c>(
     ctx: &'c RankCtx<'c>,
     plan: &GhostPlan,
@@ -152,8 +88,9 @@ fn post_exchange<'c>(
 }
 
 /// Complete the receives posted by [`post_exchange`], copying ghost
-/// blocks into `field` with the same checks as the blocking
-/// [`exchange`] — a bad payload never partially updates the field.
+/// blocks into `field`. Receives are checked: a dropped, truncated, or
+/// corrupted message surfaces as a [`CommError`] — the field is never
+/// partially updated from a bad payload.
 fn finish_exchange(
     ctx: &RankCtx<'_>,
     plan: &GhostPlan,
@@ -166,6 +103,8 @@ fn finish_exchange(
         let q = h.src();
         let list = &plan.recvs[r][q];
         let payload = h.wait()?;
+        // The CRC header guarantees integrity; this checks the *schedule*
+        // agreed with the sender.
         if payload.len() != list.len() * NUM_VARS * BLOCK_VOLUME {
             return Err(CommError::Truncated {
                 src: q,
@@ -186,407 +125,68 @@ fn finish_exchange(
     Ok(())
 }
 
-/// Static dependency classification of one rank's owned octants,
-/// built once per partition for the overlapped exchange path.
-struct OwnedSplit {
-    /// Owned octants whose gather stencil reads only owned blocks —
-    /// safe to evaluate while ghosts are still in flight.
-    interior: Vec<usize>,
-    /// Owned octants with at least one ghost gather source — must wait
-    /// for the exchange to complete.
-    boundary: Vec<usize>,
-    /// Indices into `mesh.syncs` (owned dst) whose source is owned —
-    /// applicable before ghost arrival. Empty when the owned sync set
-    /// chains or duplicates destinations (then order matters and
-    /// everything stays in `syncs_ghost`, in original order).
-    syncs_local: Vec<usize>,
-    /// Indices into `mesh.syncs` (owned dst) applied after the
-    /// exchange completes, in original `mesh.syncs` order.
-    syncs_ghost: Vec<usize>,
-    /// Physical-boundary padding regions per octant id (from
-    /// `mesh.boundary_regions`), so the per-octant pipeline can pad
-    /// without a second sweep.
-    regions_of: Vec<Vec<[i8; 3]>>,
-}
-
-fn classify_owned(mesh: &Mesh, owned: &std::ops::Range<usize>) -> OwnedSplit {
-    let is_owned = |o: u32| owned.contains(&(o as usize));
-    let mut interior = Vec::new();
-    let mut boundary = Vec::new();
-    for e in owned.clone() {
-        if mesh.gather_of(e).iter().all(|op| is_owned(op.src)) {
-            interior.push(e);
-        } else {
-            boundary.push(e);
-        }
-    }
-    let mut regions_of = vec![Vec::new(); mesh.n_octants()];
-    for &(b, delta) in &mesh.boundary_regions {
-        regions_of[b as usize].push(delta);
-    }
-    // Interface syncs may chain (a sync destination read as a later
-    // sync's source — possible at ≥ 3 refinement levels) or duplicate a
-    // destination; either makes application order observable, so the
-    // split is only taken when the owned sync set is provably
-    // order-free. Otherwise all owned syncs run post-arrival in the
-    // blocking path's original order — bit-identical by construction.
-    let owned_syncs: Vec<usize> = (0..mesh.syncs.len())
-        .filter(|&i| owned.contains(&(mesh.syncs[i].dst_oct as usize)))
-        .collect();
-    let mut written = std::collections::HashSet::new();
-    let mut order_sensitive = false;
-    for &i in &owned_syncs {
-        let c = &mesh.syncs[i];
-        if !written.insert((c.dst_oct, c.dst_idx)) {
-            order_sensitive = true;
-            break;
-        }
-    }
-    if !order_sensitive {
-        order_sensitive = owned_syncs
-            .iter()
-            .any(|&i| written.contains(&(mesh.syncs[i].src_oct, mesh.syncs[i].src_idx)));
-    }
-    let (syncs_local, syncs_ghost) = if order_sensitive {
-        (Vec::new(), owned_syncs)
-    } else {
-        owned_syncs.into_iter().partition(|&i| is_owned(mesh.syncs[i].src_oct))
-    };
-    OwnedSplit { interior, boundary, syncs_local, syncs_ghost, regions_of }
-}
-
-/// Apply the listed `mesh.syncs` entries (same copy as the blocking
-/// path's sync loop: sync-outer, variable-inner).
-fn apply_syncs(mesh: &Mesh, indices: &[usize], u: &mut Field) {
-    for &i in indices {
-        let c = &mesh.syncs[i];
-        for v in 0..NUM_VARS {
-            let sv = u.block(v, c.src_oct as usize)[c.src_idx as usize];
-            u.block_mut(v, c.dst_oct as usize)[c.dst_idx as usize] = sv;
-        }
-    }
-}
-
-/// Reusable per-evaluator scratch: the gather/prolongation buffers plus
-/// the per-point input/output staging of the Sommerfeld fix. Allocated
-/// once per rank (serial path) or once per worker thread (overlapped
-/// path) and counted in [`Counter::WorkspaceAllocs`] — the hot loop
-/// itself never allocates.
-struct EvalScratch {
-    inputs: Vec<f64>,
-    point: Vec<f64>,
-    prolong: Prolongation,
-    pws: ProlongWorkspace,
-    fine13: Vec<f64>,
-}
-
-impl EvalScratch {
-    fn new() -> Self {
-        Self {
-            inputs: vec![0.0; NUM_INPUTS],
-            point: vec![0.0; NUM_VARS],
-            prolong: Prolongation::new(),
-            pws: ProlongWorkspace::new(),
-            fine13: vec![0.0f64; FINE_SIDE * FINE_SIDE * FINE_SIDE],
-        }
-    }
-}
-
-/// Parallel octant→patch + RHS pipeline over an explicit octant list, on
-/// the shared worker pool. Per octant: interior copy, gather (with
-/// prolongation), physical-boundary padding, fused RHS, Sommerfeld fix.
-/// Each octant's patch and output blocks have exactly one writer and the
-/// per-point arithmetic matches [`eval_rhs_local`] exactly, so the
-/// result is bit-identical to the serial sweep at any thread count and
-/// any list order.
-#[allow(clippy::too_many_arguments)]
-fn eval_rhs_list(
-    mesh: &Mesh,
-    list: &[usize],
-    regions_of: &[Vec<[i8; 3]>],
-    params: &BssnParams,
-    input: &Field,
-    patches: &mut PatchField,
-    masks: &[u8],
-    out: &mut Field,
-    pool: &ThreadPool,
-    probe: &Probe,
-) {
-    let n_oct = mesh.n_octants();
-    let patches_s = UnsafeSlice::new(patches.as_mut_slice());
-    let out_s = UnsafeSlice::new(out.as_mut_slice());
-    pool.for_each(list.len(), |i| {
-        let e = list[i];
-        let h = mesh.octants[e].h;
-        thread_local! {
-            static WS: std::cell::RefCell<Option<(RhsWorkspace, EvalScratch)>> =
-                const { std::cell::RefCell::new(None) };
-        }
-        WS.with(|cell| {
-            let mut borrow = cell.borrow_mut();
-            let (ws, scratch) = borrow.get_or_insert_with(|| {
-                probe.add(Counter::WorkspaceAllocs, 1);
-                (RhsWorkspace::new(1), EvalScratch::new())
-            });
-            let p = PatchLayout::padded();
-            for v in 0..NUM_VARS {
-                // Safety: octants in `list` are distinct and slot
-                // (v, e) belongs to this iteration alone.
-                let patch =
-                    unsafe { patches_s.slice_mut((v * n_oct + e) * PATCH_VOLUME, PATCH_VOLUME) };
-                gw_stencil::patch::octant_to_patch_interior(input.block(v, e), patch);
-                for op in mesh.gather_of(e) {
-                    let src = input.block(v, op.src as usize);
-                    if op.kind == gw_mesh::ScatterKind::Prolong {
-                        scratch.prolong.prolong3d_ws(src, &mut scratch.fine13, &mut scratch.pws);
-                    }
-                    gw_mesh::scatter::apply_scatter_op(op, src, &scratch.fine13, patch);
-                }
-                // Physical-boundary padding: clamp-copy from the
-                // interior, same as fill_boundary_padding_range.
-                for delta in &regions_of[e] {
-                    for pz in gw_mesh::scatter::region_range(delta[2]) {
-                        for py in gw_mesh::scatter::region_range(delta[1]) {
-                            for px in gw_mesh::scatter::region_range(delta[0]) {
-                                let cx = px.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                                let cy = py.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                                let cz = pz.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                                patch[p.idx(px, py, pz)] = patch[p.idx(cx, cy, cz)];
-                            }
-                        }
-                    }
-                }
-            }
-            // Safety: the (v, e) patch slots were fully written above and
-            // no other iteration touches them; output blocks (v, e) are
-            // disjoint per octant.
-            let patch_refs: [&[f64]; NUM_VARS] = std::array::from_fn(|v| unsafe {
-                patches_s.slice((v * n_oct + e) * PATCH_VOLUME, PATCH_VOLUME)
-            });
-            let mut out_blocks: [&mut [f64]; NUM_VARS] = std::array::from_fn(|v| unsafe {
-                out_s.slice_mut((v * n_oct + e) * BLOCK_VOLUME, BLOCK_VOLUME)
-            });
-            bssn_rhs_patch(&patch_refs, h, params, &RhsMode::Pointwise, ws, &mut out_blocks);
-            crate::boundary::sommerfeld_fix(
-                mesh,
-                e,
-                masks[e],
-                &patch_refs,
-                ws,
-                &mut scratch.inputs,
-                &mut scratch.point,
-                &mut out_blocks,
-            );
-        });
-    });
-}
-
-/// Local RHS evaluation over owned octants (gather-based padding so only
-/// owned patches are touched).
-#[allow(clippy::too_many_arguments)]
-fn eval_rhs_local(
-    mesh: &Mesh,
-    owned: std::ops::Range<usize>,
-    params: &BssnParams,
-    input: &Field,
-    patches: &mut PatchField,
-    ws: &mut RhsWorkspace,
-    scratch: &mut EvalScratch,
-    masks: &[u8],
-    out: &mut Field,
-) {
-    // Padding for owned patches (gather touches exactly dst ∈ owned).
-    // We reuse the full-mesh gather but restrict to the owned range.
-    fill_patches_gather_range(mesh, input, patches, owned.clone(), scratch);
-    gw_mesh::scatter::fill_boundary_padding_range(mesh, patches, NUM_VARS, owned.clone());
-    let n = mesh.n_octants();
-    for e in owned {
-        let h = mesh.octants[e].h;
-        let patch_refs: [&[f64]; NUM_VARS] = std::array::from_fn(|v| patches.patch(v, e));
-        let base = out.as_mut_slice().as_mut_ptr();
-        // Safety: blocks (v, e) are disjoint slices.
-        let mut out_blocks: [&mut [f64]; NUM_VARS] = std::array::from_fn(|v| unsafe {
-            std::slice::from_raw_parts_mut(base.add((v * n + e) * BLOCK_VOLUME), BLOCK_VOLUME)
-        });
-        bssn_rhs_patch(&patch_refs, h, params, &RhsMode::Pointwise, ws, &mut out_blocks);
-        crate::boundary::sommerfeld_fix(
-            mesh,
-            e,
-            masks[e],
-            &patch_refs,
-            ws,
-            &mut scratch.inputs,
-            &mut scratch.point,
-            &mut out_blocks,
-        );
-    }
-}
-
-/// Gather-based padding restricted to a destination range.
-fn fill_patches_gather_range(
-    mesh: &Mesh,
-    field: &Field,
-    patches: &mut PatchField,
-    range: std::ops::Range<usize>,
-    scratch: &mut EvalScratch,
-) {
-    // Equivalent to gw_mesh::gather::fill_patches_gather but only for
-    // dst ∈ range.
-    for var in 0..field.dof {
-        for b in range.clone() {
-            gw_stencil::patch::octant_to_patch_interior(
-                field.block(var, b),
-                patches.patch_mut(var, b),
-            );
-            for op in mesh.gather_of(b) {
-                let src = field.block(var, op.src as usize);
-                if op.kind == gw_mesh::ScatterKind::Prolong {
-                    scratch.prolong.prolong3d_ws(src, &mut scratch.fine13, &mut scratch.pws);
-                }
-                let dst = patches.patch_mut(var, op.dst as usize);
-                gw_mesh::scatter::apply_scatter_op(op, src, &scratch.fine13, dst);
-            }
-        }
-    }
-    let _ = fill_patches_gather; // same algorithm, range-restricted
-}
-
-/// Everything one RK stage needs besides the fields: the exchange plan,
-/// the evaluator state, and (when overlapping) the static classification
-/// plus the worker pool.
-struct StageCtx<'a, 'w> {
+/// One rank's side of the halo exchanges of a span.
+struct HaloExchange<'a, 'w> {
     ctx: &'a RankCtx<'w>,
     plan: &'a GhostPlan,
-    part: &'a PartitionMap,
     mesh: &'a Mesh,
-    params: &'a BssnParams,
-    owned: std::ops::Range<usize>,
-    masks: &'a [u8],
     probe: &'a Probe,
-    /// `Some` = overlapped path (classification + pool).
-    ov: Option<(&'a OwnedSplit, &'a ThreadPool)>,
 }
 
-/// One halo exchange + RHS evaluation: `out = rhs(field)` over the owned
-/// octants, with ghosts of `field` refreshed under `tag`. Dispatches to
-/// the blocking schedule or the overlapped one; both produce bit-identical
-/// `out` (single-writer slots, unchanged per-point arithmetic).
-fn rhs_stage(
-    st: &StageCtx<'_, '_>,
-    field: &mut Field,
-    patches: &mut PatchField,
-    ws: &mut RhsWorkspace,
-    scratch: &mut EvalScratch,
-    out: &mut Field,
-    tag: u64,
-) -> Result<(), CommError> {
-    match st.ov {
-        None => {
-            {
-                let _s = st.probe.start(Phase::Halo);
-                exchange(st.ctx, st.plan, st.part, field, tag)?;
-            }
-            let _s = st.probe.start(Phase::Rhs);
-            eval_rhs_local(
-                st.mesh,
-                st.owned.clone(),
-                st.params,
-                field,
-                patches,
-                ws,
-                scratch,
-                st.masks,
-                out,
-            );
+impl HaloExchange<'_, '_> {
+    /// Refresh the ghosts of `buf` under `tag`, running `meanwhile` while
+    /// the messages are in flight.
+    fn exchange(
+        &self,
+        backend: &mut CpuBackend,
+        buf: Buf,
+        tag: u64,
+        meanwhile: impl FnOnce(&mut CpuBackend),
+    ) -> Result<(), CommError> {
+        let handles = {
+            let _s = self.probe.start(Phase::Halo);
+            post_exchange(self.ctx, self.plan, backend.field(buf), tag)
+        };
+        let t0 = Instant::now();
+        {
+            let _s = self.probe.start(Phase::HaloOverlap);
+            meanwhile(backend);
         }
-        Some((split, pool)) => {
-            let handles = post_exchange(st.ctx, st.plan, field, tag);
-            let t0 = Instant::now();
-            {
-                let _s = st.probe.start(Phase::HaloOverlap);
-                eval_rhs_list(
-                    st.mesh,
-                    &split.interior,
-                    &split.regions_of,
-                    st.params,
-                    field,
-                    patches,
-                    st.masks,
-                    out,
-                    pool,
-                    st.probe,
-                );
-            }
-            st.probe.add(Counter::HaloOverlapUs, t0.elapsed().as_micros() as u64);
-            let t1 = Instant::now();
-            {
-                let _s = st.probe.start(Phase::Halo);
-                finish_exchange(st.ctx, st.plan, field, tag, handles)?;
-            }
-            st.probe.add(Counter::HaloWaitUs, t1.elapsed().as_micros() as u64);
-            let _s = st.probe.start(Phase::Rhs);
-            eval_rhs_list(
-                st.mesh,
-                &split.boundary,
-                &split.regions_of,
-                st.params,
-                field,
-                patches,
-                st.masks,
-                out,
-                pool,
-                st.probe,
-            );
+        self.probe.add(Counter::HaloOverlapUs, t0.elapsed().as_micros() as u64);
+        let t1 = Instant::now();
+        {
+            let _s = self.probe.start(Phase::Halo);
+            finish_exchange(self.ctx, self.plan, backend.field_mut(buf), tag, handles)?;
         }
+        self.probe.add(Counter::HaloWaitUs, t1.elapsed().as_micros() as u64);
+        Ok(())
     }
-    Ok(())
-}
 
-/// The post-update ghost refresh + interface sync closing each step.
-/// Overlapped: owned-source syncs run while the ghosts travel, the rest
-/// after arrival (or, if the sync set is order-sensitive, everything
-/// runs post-arrival in original order — see [`classify_owned`]).
-fn sync_stage(st: &StageCtx<'_, '_>, u: &mut Field, tag: u64) -> Result<(), CommError> {
-    match st.ov {
-        None => {
-            {
-                let _s = st.probe.start(Phase::Halo);
-                exchange(st.ctx, st.plan, st.part, u, tag)?;
-            }
-            for c in &st.mesh.syncs {
-                if !st.owned.contains(&(c.dst_oct as usize)) {
-                    continue;
-                }
-                for v in 0..NUM_VARS {
-                    let sv = u.block(v, c.src_oct as usize)[c.src_idx as usize];
-                    u.block_mut(v, c.dst_oct as usize)[c.dst_idx as usize] = sv;
-                }
-            }
-        }
-        Some((split, _)) => {
-            let handles = post_exchange(st.ctx, st.plan, u, tag);
-            let t0 = Instant::now();
-            {
-                let _s = st.probe.start(Phase::HaloOverlap);
-                apply_syncs(st.mesh, &split.syncs_local, u);
-            }
-            st.probe.add(Counter::HaloOverlapUs, t0.elapsed().as_micros() as u64);
-            let t1 = Instant::now();
-            {
-                let _s = st.probe.start(Phase::Halo);
-                finish_exchange(st.ctx, st.plan, u, tag, handles)?;
-            }
-            st.probe.add(Counter::HaloWaitUs, t1.elapsed().as_micros() as u64);
-            apply_syncs(st.mesh, &split.syncs_ghost, u);
-        }
+    /// One RK stage's `output = F(input)` over the owned octants: the
+    /// interior octants while the ghosts of `input` travel, the boundary
+    /// octants after they land.
+    fn rhs(&self, b: &mut CpuBackend, input: Buf, output: Buf, tag: u64) -> Result<(), CommError> {
+        self.exchange(b, input, tag, |b| {
+            b.eval_rhs_part(self.mesh, input, output, Sources::Owned)
+        })?;
+        b.eval_rhs_part(self.mesh, input, output, Sources::Ghost);
+        Ok(())
     }
-    Ok(())
+
+    /// The post-update ghost refresh + interface sync closing each step.
+    fn sync(&self, b: &mut CpuBackend, tag: u64) -> Result<(), CommError> {
+        self.exchange(b, Buf::U, tag, |b| b.sync_interfaces_part(Sources::Owned))?;
+        b.sync_interfaces_part(Sources::Ghost);
+        Ok(())
+    }
 }
 
-/// Evolve `steps` RK4 steps on `ranks` simulated ranks. Panics on a
-/// communication fault — with the default fault-free [`WorldConfig`] the
-/// in-process channels cannot fault, so this is the convenient entry
-/// point; supervised runs use [`evolve_distributed_cfg`].
+/// Evolve `steps` RK4 steps on `ranks` simulated ranks, each with the
+/// default worker count (`threads = 0`: `GW_THREADS`, else the host's
+/// parallelism). Panics on a communication fault — with the default
+/// fault-free [`WorldConfig`] the in-process channels cannot fault, so
+/// this is the convenient entry point; checkpointed, resilient runs go
+/// through [`crate::run::Run::distributed`].
 pub fn evolve_distributed(
     mesh: &Mesh,
     u0: &Field,
@@ -615,9 +215,9 @@ pub fn evolve_distributed_cfg(
     params: BssnParams,
     world_cfg: WorldConfig,
 ) -> Result<DistributedResult, CommError> {
-    let h_min = mesh.octants.iter().map(|o| o.h).fold(f64::INFINITY, f64::min);
-    let opts = SpanOpts { start_step: 0, steps, dt: courant * h_min, snapshot: None, kill: None };
-    evolve_span(mesh, u0, ranks, params, world_cfg, opts).map_err(|f| match f {
+    let config = SolverConfig { courant, params, ..SolverConfig::default() };
+    let opts = SpanOpts { start_step: 0, steps, snapshot: None, kill: None };
+    evolve_span(mesh, u0, ranks, &config, world_cfg, opts).map_err(|f| match f {
         SpanFailure::Comm(e) => e,
         SpanFailure::Ckpt(e) => unreachable!("no checkpointing configured: {e}"),
     })
@@ -649,152 +249,66 @@ impl From<CheckpointError> for SpanFailure {
 struct SpanOpts {
     start_step: usize,
     steps: usize,
-    dt: f64,
     /// `(snapshot root, cadence in steps)`.
     snapshot: Option<(String, u64)>,
     kill: Option<KillSpec>,
 }
 
+/// Run one span on `ranks` ranks, each a [`CpuBackend`] over its owned
+/// range with `config.threads` workers, stepped at `config.courant` with
+/// `config.params`.
 fn evolve_span(
     mesh: &Mesh,
     u0: &Field,
     ranks: usize,
-    params: BssnParams,
+    config: &SolverConfig,
     world_cfg: WorldConfig,
     opts: SpanOpts,
 ) -> Result<DistributedResult, SpanFailure> {
     let n = mesh.n_octants();
     let part = partition_uniform(n, ranks);
     let plan = GhostSchedule::build(&part, dependencies(mesh).into_iter());
-    let dt = opts.dt;
-    let masks = crate::boundary::boundary_face_masks(mesh);
+    let rk = Rk4 { courant: config.courant };
+    let dt = rk.timestep(mesh);
     // One probe handle per rank thread: spans carry per-thread ids, and
     // counters are shared atomics, so concurrent ranks attribute cleanly.
     let probe = world_cfg.probe.clone();
-
-    let plan_ref = &plan;
-    let part_ref = &part;
-    let masks_ref = &masks;
-    let start_step = opts.start_step;
-    let steps = opts.steps;
-    let snapshot = opts.snapshot;
-    let kill = opts.kill;
-    let snapshot_ref = &snapshot;
-    let overlap = world_cfg.overlap;
-    let overlap_threads = world_cfg.overlap_threads;
+    let (part, plan_ref, opts) = (&part, &plan, &opts);
     let (mut results, traffic) = World::run_cfg(ranks, world_cfg, move |ctx| {
         let r = ctx.rank();
-        let owned = part_ref.range(r);
-        let mut u = u0.clone();
-        let mut stage = Field::zeros(NUM_VARS, n);
-        let mut k = Field::zeros(NUM_VARS, n);
-        let mut acc = Field::zeros(NUM_VARS, n);
-        let mut patches = PatchField::zeros(NUM_VARS, n);
-        let mut ws = RhsWorkspace::new(1);
-        let mut scratch = EvalScratch::new();
-        probe.add(Counter::WorkspaceAllocs, 1);
-        // Overlapped path: static interior/boundary classification plus
-        // the shared worker pool, both built once per span.
-        let split = overlap.then(|| classify_owned(mesh, &owned));
-        let pool = overlap.then(|| ThreadPool::shared(overlap_threads));
-        let st = StageCtx {
-            ctx: &ctx,
-            plan: plan_ref,
-            part: part_ref,
-            mesh,
-            params: &params,
-            owned: owned.clone(),
-            masks: masks_ref,
-            probe: &probe,
-            ov: split.as_ref().zip(pool.as_deref()),
-        };
+        let owned = part.range(r);
+        let mut backend = CpuBackend::for_rank(mesh, config.params, config.threads, owned.clone());
+        backend.set_probe(probe.clone());
+        backend.upload(u0);
+        let halo = HaloExchange { ctx: &ctx, plan: plan_ref, mesh, probe: &probe };
         let mut work = 0u64;
-        for s in start_step..steps {
+        for s in opts.start_step..opts.steps {
             // Injected fail-stop: the rank dies here, visibly to the
             // liveness view, exactly as if its process were killed.
-            if let Some(k) = kill {
+            if let Some(k) = opts.kill {
                 if r == k.rank && s == k.at_step {
                     ctx.declare_dead();
                     return Err(SpanFailure::Comm(CommError::RankDead { rank: r, dst: r }));
                 }
             }
-            // k1.
-            rhs_stage(&st, &mut u, &mut patches, &mut ws, &mut scratch, &mut k, stage_tag(s, 0))?;
-            for e in owned.clone() {
-                for v in 0..NUM_VARS {
-                    for (a, (b, kk)) in acc
-                        .block_mut(v, e)
-                        .iter_mut()
-                        .zip(u.block(v, e).iter().zip(k.block(v, e).iter()))
-                    {
-                        *a = b + dt / 6.0 * kk;
-                    }
-                    for (s, (b, kk)) in stage
-                        .block_mut(v, e)
-                        .iter_mut()
-                        .zip(u.block(v, e).iter().zip(k.block(v, e).iter()))
-                    {
-                        *s = b + dt / 2.0 * kk;
-                    }
-                }
-            }
-            // k2, k3.
-            for (si, (w_acc, w_stage)) in
-                [(dt / 3.0, dt / 2.0), (dt / 3.0, dt)].into_iter().enumerate()
             {
-                rhs_stage(
-                    &st,
-                    &mut stage,
-                    &mut patches,
-                    &mut ws,
-                    &mut scratch,
-                    &mut k,
-                    stage_tag(s, 1 + si as u64),
+                let _s = probe.start(Phase::Step);
+                rk.try_step(
+                    &mut backend,
+                    dt,
+                    |b, stage, input, output| halo.rhs(b, input, output, stage_tag(s, stage)),
+                    |b| halo.sync(b, stage_tag(s, STAGE_SYNC)),
                 )?;
-                for e in owned.clone() {
-                    for v in 0..NUM_VARS {
-                        for (a, kk) in acc.block_mut(v, e).iter_mut().zip(k.block(v, e).iter()) {
-                            *a += w_acc * kk;
-                        }
-                        for (s, (b, kk)) in stage
-                            .block_mut(v, e)
-                            .iter_mut()
-                            .zip(u.block(v, e).iter().zip(k.block(v, e).iter()))
-                        {
-                            *s = b + w_stage * kk;
-                        }
-                    }
-                }
             }
-            // k4.
-            rhs_stage(
-                &st,
-                &mut stage,
-                &mut patches,
-                &mut ws,
-                &mut scratch,
-                &mut k,
-                stage_tag(s, 3),
-            )?;
-            for e in owned.clone() {
-                for v in 0..NUM_VARS {
-                    for (uu, (a, kk)) in u
-                        .block_mut(v, e)
-                        .iter_mut()
-                        .zip(acc.block(v, e).iter().zip(k.block(v, e).iter()))
-                    {
-                        *uu = a + dt / 6.0 * kk;
-                    }
-                }
+            if r == 0 {
+                probe.add(Counter::Steps, 1);
             }
-            // Interface sync needs updated ghosts.
-            sync_stage(&st, &mut u, stage_tag(s, STAGE_SYNC))?;
             work += owned.len() as u64;
             // Coordinated snapshot: two-phase commit. Every rank writes
             // its shard atomically, the allgather proves all shards are
             // durable, then rank 0 renames the manifest into place (the
             // commit point) and the barrier keeps every rank behind it.
-            if let Some((root, every)) = snapshot_ref {
+            if let Some((root, every)) = &opts.snapshot {
                 let s1 = (s + 1) as u64;
                 if s1.is_multiple_of(*every) {
                     let _s = probe.start(Phase::Checkpoint);
@@ -806,7 +320,11 @@ fn evolve_span(
                         n_octants: owned.len(),
                         time: s1 as f64 * dt,
                         steps_taken: s1,
-                        values: checkpoint::shard_values(&u, owned.start, owned.end),
+                        values: checkpoint::shard_values(
+                            backend.field(Buf::U),
+                            owned.start,
+                            owned.end,
+                        ),
                     };
                     let (crc, len) = checkpoint::write_shard(&sub, &shard)?;
                     let metas = ctx.try_allgatherv(&[crc as f64, len as f64])?;
@@ -815,7 +333,7 @@ fn evolve_span(
                             domain: mesh.domain,
                             leaves: mesh.octants.iter().map(|o| o.key).collect(),
                             offsets: (0..=ctx.size())
-                                .map(|q| if q == ctx.size() { n } else { part_ref.range(q).start })
+                                .map(|q| if q == ctx.size() { n } else { part.range(q).start })
                                 .collect(),
                             time: s1 as f64 * dt,
                             steps_taken: s1,
@@ -829,6 +347,7 @@ fn evolve_span(
             }
         }
         // Return owned blocks.
+        let u = backend.field(Buf::U);
         let mut owned_data = Vec::with_capacity(owned.len() * NUM_VARS * BLOCK_VOLUME);
         for e in owned.clone() {
             for v in 0..NUM_VARS {
@@ -958,44 +477,20 @@ impl std::error::Error for DistributedError {}
 /// roll every survivor back to the last committed manifest, replay under
 /// the [`crate::supervisor::DegradationPolicy`], and escalate to a typed
 /// abort once `max_retries` world restarts are spent. The returned
-/// traffic/work meters describe the final (successful) attempt.
-#[allow(clippy::too_many_arguments)]
-#[deprecated(
-    since = "0.4.0",
-    note = "use crate::run::Run::new(config).distributed(ranks).execute() — one builder \
-            covers plain, supervised, and distributed evolution"
-)]
-pub fn evolve_distributed_resilient(
+/// traffic/work meters describe the final (successful) attempt. Ranks
+/// take `config.courant`, `config.params` and `config.threads`, and
+/// always evaluate the pointwise `A` (see [`CpuBackend::for_rank`]). The
+/// [`crate::run::Run`] builder's `.distributed(..)` drives this.
+pub(crate) fn evolve_resilient(
     mesh: &Mesh,
     u0: &Field,
     ranks: usize,
     steps: usize,
-    courant: f64,
-    params: BssnParams,
+    config: &SolverConfig,
     world_cfg: WorldConfig,
     resilience: &ResilienceConfig,
 ) -> Result<ResilientOutcome, DistributedError> {
-    evolve_distributed_resilient_impl(
-        mesh, u0, ranks, steps, courant, params, world_cfg, resilience,
-    )
-}
-
-/// Non-deprecated implementation behind [`evolve_distributed_resilient`];
-/// the [`crate::run::Run`] builder drives this directly.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evolve_distributed_resilient_impl(
-    mesh: &Mesh,
-    u0: &Field,
-    ranks: usize,
-    steps: usize,
-    courant: f64,
-    params: BssnParams,
-    world_cfg: WorldConfig,
-    resilience: &ResilienceConfig,
-) -> Result<ResilientOutcome, DistributedError> {
-    let h_min = mesh.octants.iter().map(|o| o.h).fold(f64::INFINITY, f64::min);
-    let mut courant_now = courant;
-    let mut params_now = params;
+    let mut config = *config;
     let mut retries = 0u32;
     let mut kill = resilience.kill_once;
     let mut start_step = 0usize;
@@ -1005,14 +500,13 @@ pub(crate) fn evolve_distributed_resilient_impl(
         let opts = SpanOpts {
             start_step,
             steps,
-            dt: courant_now * h_min,
             snapshot: resilience
                 .checkpoint_dir
                 .clone()
                 .map(|d| (d, resilience.checkpoint_every.max(1))),
             kill,
         };
-        let failure = match evolve_span(mesh, &state, ranks, params_now, world_cfg.clone(), opts) {
+        let failure = match evolve_span(mesh, &state, ranks, &config, world_cfg.clone(), opts) {
             Ok(result) => return Ok(ResilientOutcome { result, retries, events }),
             Err(f) => f,
         };
@@ -1046,19 +540,15 @@ pub(crate) fn evolve_distributed_resilient_impl(
             }
         }
         events.push(RecoveryEvent::RolledBack { to_step: start_step as u64, cause });
-        courant_now *= resilience.degradation.courant_factor;
-        params_now.ko_sigma += resilience.degradation.ko_boost;
+        config.courant *= resilience.degradation.courant_factor;
+        config.params.ko_sigma += resilience.degradation.ko_boost;
     }
 }
 
 #[cfg(test)]
 mod tests {
-    // The deprecated `evolve_distributed_resilient` wrapper is exercised
-    // on purpose: it must keep delegating faithfully until removal.
-    #![allow(deprecated)]
     use super::*;
-    use crate::backend::{Backend, CpuBackend, RhsKind};
-    use crate::rk4::Rk4;
+    use crate::backend::{Owned, RhsKind};
     use crate::solver::fill_field;
     use gw_bssn::init::LinearWaveData;
     use gw_octree::{balance_octree, complete_octree, BalanceMode, Domain, MortonKey};
@@ -1101,29 +591,36 @@ mod tests {
 
     #[test]
     fn overlapped_exchange_is_bit_identical_and_counts_messages_identically() {
+        // The rank pool size must change neither the bits nor the
+        // message schedule.
         let mesh = adaptive_mesh();
         let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
         let u0 = fill_field(&mesh, &|p, out: &mut [f64]| wave.evaluate(p, out));
         let params = BssnParams::default();
         let steps = 2;
         for ranks in [1usize, 2, 3] {
-            let blocking = evolve_distributed(&mesh, &u0, ranks, steps, 0.25, params);
+            let reference = evolve_distributed(&mesh, &u0, ranks, steps, 0.25, params);
             for threads in [1usize, 4] {
-                let cfg = WorldConfig {
-                    overlap: true,
-                    overlap_threads: threads,
-                    ..WorldConfig::default()
-                };
-                let overlapped =
-                    evolve_distributed_cfg(&mesh, &u0, ranks, steps, 0.25, params, cfg).unwrap();
+                let config = SolverConfig { threads, params, ..SolverConfig::default() };
+                let overlapped = evolve_resilient(
+                    &mesh,
+                    &u0,
+                    ranks,
+                    steps,
+                    &config,
+                    WorldConfig::default(),
+                    &ResilienceConfig::default(),
+                )
+                .unwrap()
+                .result;
                 assert_eq!(
-                    blocking.state.as_slice(),
+                    reference.state.as_slice(),
                     overlapped.state.as_slice(),
-                    "overlap must not change results (ranks {ranks}, threads {threads})"
+                    "threads must not change results (ranks {ranks}, threads {threads})"
                 );
                 assert_eq!(
-                    blocking.traffic, overlapped.traffic,
-                    "overlap must not change the message schedule"
+                    reference.traffic, overlapped.traffic,
+                    "threads must not change the message schedule"
                 );
             }
         }
@@ -1135,7 +632,7 @@ mod tests {
         let part = partition_uniform(mesh.n_octants(), 3);
         for r in 0..3 {
             let owned = part.range(r);
-            let split = classify_owned(&mesh, &owned);
+            let split = Owned::new(&mesh, owned.clone());
             let mut all: Vec<usize> =
                 split.interior.iter().chain(split.boundary.iter()).copied().collect();
             all.sort_unstable();
@@ -1146,12 +643,24 @@ mod tests {
                     "interior octant {e} must not read ghosts"
                 );
             }
-            let mut syncs: Vec<usize> =
-                split.syncs_local.iter().chain(split.syncs_ghost.iter()).copied().collect();
+            for &e in &split.boundary {
+                for op in mesh.gather_of(e).iter().filter(|op| !owned.contains(&(op.src as usize)))
+                {
+                    assert!(split.ghosts.contains(&(op.src as usize)), "ghost {} missing", op.src);
+                }
+            }
+            assert!(split.ghosts.iter().all(|g| !owned.contains(g)), "ghosts are not owned");
+            let key = |c: &gw_mesh::grid::SyncCopy| (c.dst_oct, c.dst_idx, c.src_oct, c.src_idx);
+            let mut syncs: Vec<_> =
+                split.syncs_owned.iter().chain(split.syncs_ghost.iter()).map(key).collect();
             syncs.sort_unstable();
-            let expected: Vec<usize> = (0..mesh.syncs.len())
-                .filter(|&i| owned.contains(&(mesh.syncs[i].dst_oct as usize)))
+            let mut expected: Vec<_> = mesh
+                .syncs
+                .iter()
+                .filter(|c| owned.contains(&(c.dst_oct as usize)))
+                .map(key)
                 .collect();
+            expected.sort_unstable();
             assert_eq!(syncs, expected, "rank {r} sync split covers exactly the owned-dst syncs");
         }
     }
@@ -1176,13 +685,12 @@ mod tests {
         let u0 = fill_field(&mesh, &|p, out: &mut [f64]| wave.evaluate(p, out));
         let params = BssnParams::default();
         let reference = evolve_distributed(&mesh, &u0, 2, 2, 0.25, params);
-        let out = evolve_distributed_resilient(
+        let out = evolve_resilient(
             &mesh,
             &u0,
             2,
             2,
-            0.25,
-            params,
+            &SolverConfig { params, ..SolverConfig::default() },
             WorldConfig::default(),
             &ResilienceConfig::default(),
         )
@@ -1217,8 +725,8 @@ mod tests {
             heartbeat_interval: std::time::Duration::from_millis(5),
             ..WorldConfig::default()
         };
-        let out =
-            evolve_distributed_resilient(&mesh, &u0, 3, 3, 0.25, params, cfg, &resilience).unwrap();
+        let config = SolverConfig { params, ..SolverConfig::default() };
+        let out = evolve_resilient(&mesh, &u0, 3, 3, &config, cfg, &resilience).unwrap();
         assert_eq!(out.retries, 1, "one rollback must suffice");
         match &out.events[..] {
             [RecoveryEvent::RolledBack { to_step: 2, cause }] => {

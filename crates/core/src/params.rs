@@ -126,9 +126,6 @@ pub struct RunParams {
     pub heartbeat_interval_ms: f64,
     /// Receive deadline in milliseconds (`"comm.recv_timeout"`).
     pub recv_timeout_ms: f64,
-    /// Overlap interior RHS compute with the halo exchange
-    /// (`"comm.overlap"`); bit-identical to the blocking schedule.
-    pub overlap: bool,
     /// Coordinated multi-rank snapshots (`"checkpoint.distributed"`);
     /// shards + manifest go under the supervisor's `checkpoint_dir`.
     pub checkpoint_distributed: bool,
@@ -157,7 +154,6 @@ impl Default for RunParams {
             max_retransmits: 8,
             heartbeat_interval_ms: 50.0,
             recv_timeout_ms: 10_000.0,
-            overlap: false,
             checkpoint_distributed: false,
             profile: None,
         }
@@ -231,9 +227,6 @@ impl RunParams {
         p.max_retransmits = num(&map, "comm.max_retransmits", p.max_retransmits as f64)? as u32;
         p.heartbeat_interval_ms = num(&map, "comm.heartbeat_interval", p.heartbeat_interval_ms)?;
         p.recv_timeout_ms = num(&map, "comm.recv_timeout", p.recv_timeout_ms)?;
-        if let Some(JsonValue::Bool(b)) = map.get("comm.overlap") {
-            p.overlap = *b;
-        }
         if let Some(JsonValue::Bool(b)) = map.get("checkpoint.distributed") {
             p.checkpoint_distributed = *b;
         }
@@ -244,9 +237,7 @@ impl RunParams {
         Ok(p)
     }
 
-    /// The comm-layer configuration these parameters describe. The
-    /// overlapped path sizes its worker pool from the solver's
-    /// `threads` so both drivers see one thread setting.
+    /// The comm-layer configuration these parameters describe.
     pub fn world_config(&self) -> gw_comm::world::WorldConfig {
         gw_comm::world::WorldConfig {
             max_retransmits: self.max_retransmits,
@@ -254,8 +245,6 @@ impl RunParams {
                 self.heartbeat_interval_ms / 1e3,
             ),
             recv_timeout: std::time::Duration::from_secs_f64(self.recv_timeout_ms / 1e3),
-            overlap: self.overlap,
-            overlap_threads: self.config.threads,
             ..gw_comm::world::WorldConfig::default()
         }
     }
@@ -414,8 +403,6 @@ mod tests {
                 "comm.max_retransmits": 5,
                 "comm.heartbeat_interval": 10.0,
                 "comm.recv_timeout": 2000.0,
-                "comm.overlap": true,
-                "threads": 2,
                 "checkpoint.distributed": true,
                 "checkpoint_dir": "/tmp/gw_snapshots",
                 "checkpoint_every": 2
@@ -425,14 +412,10 @@ mod tests {
         assert_eq!(p.ranks, 4);
         assert_eq!(p.max_retransmits, 5);
         assert!(p.checkpoint_distributed);
-        assert!(p.overlap);
         let wc = p.world_config();
         assert_eq!(wc.max_retransmits, 5);
         assert_eq!(wc.heartbeat_interval, std::time::Duration::from_millis(10));
         assert_eq!(wc.recv_timeout, std::time::Duration::from_secs(2));
-        assert!(wc.overlap);
-        assert_eq!(wc.overlap_threads, 2, "overlap pool follows the solver thread count");
-        assert!(!RunParams::from_json("{}").unwrap().world_config().overlap);
     }
 
     #[test]

@@ -37,24 +37,52 @@ impl Rk4 {
     /// k4 = F(s)          u    = acc + dt/6 k4
     /// ```
     pub fn step(&self, backend: &mut dyn Backend, mesh: &Mesh, dt: f64) {
+        let stepped: Result<(), std::convert::Infallible> = self.try_step(
+            backend,
+            dt,
+            |b, _stage, input, output| {
+                b.eval_rhs(mesh, input, output);
+                Ok(())
+            },
+            |b| {
+                b.sync_interfaces(mesh);
+                Ok(())
+            },
+        );
+        let Ok(()) = stepped;
+    }
+
+    /// [`Rk4::step`] with the stage RHS and the closing interface sync
+    /// supplied by the caller, either of which may fail: a distributed
+    /// rank wraps both in halo exchanges. `rhs(backend, stage, input,
+    /// output)` must leave `F(input)` in `output` for stages `0..4`;
+    /// `sync(backend)` keeps coarse–fine duplicated points of the
+    /// solution consistent. The first error aborts the step.
+    pub fn try_step<B: Backend + ?Sized, E>(
+        &self,
+        backend: &mut B,
+        dt: f64,
+        mut rhs: impl FnMut(&mut B, u64, Buf, Buf) -> Result<(), E>,
+        sync: impl FnOnce(&mut B) -> Result<(), E>,
+    ) -> Result<(), E> {
         // k1.
-        backend.eval_rhs(mesh, Buf::U, Buf::K);
+        rhs(backend, 0, Buf::U, Buf::K)?;
         backend.assign_axpy(Buf::Acc, Buf::U, dt / 6.0, Buf::K);
         backend.assign_axpy(Buf::Stage, Buf::U, dt / 2.0, Buf::K);
         // k2.
-        backend.eval_rhs(mesh, Buf::Stage, Buf::K);
+        rhs(backend, 1, Buf::Stage, Buf::K)?;
         backend.axpy(Buf::Acc, dt / 3.0, Buf::K);
         backend.assign_axpy(Buf::Stage, Buf::U, dt / 2.0, Buf::K);
         // k3.
-        backend.eval_rhs(mesh, Buf::Stage, Buf::K);
+        rhs(backend, 2, Buf::Stage, Buf::K)?;
         backend.axpy(Buf::Acc, dt / 3.0, Buf::K);
         backend.assign_axpy(Buf::Stage, Buf::U, dt, Buf::K);
         // k4.
-        backend.eval_rhs(mesh, Buf::Stage, Buf::K);
+        rhs(backend, 3, Buf::Stage, Buf::K)?;
         backend.axpy(Buf::Acc, dt / 6.0, Buf::K);
         backend.copy(Buf::U, Buf::Acc);
         // Keep coarse–fine duplicated points consistent.
-        backend.sync_interfaces(mesh);
+        sync(backend)
     }
 }
 

@@ -1,10 +1,7 @@
-//! One entry point for every kind of evolution run.
-//!
-//! Historically the crate grew three parallel drivers — plain
-//! [`GwSolver::evolve_steps`](crate::solver::GwSolver::evolve_steps),
-//! the supervised loop in [`crate::supervisor::Supervisor`], and the
-//! distributed-resilient driver in [`crate::multi`] — each with its own
-//! calling convention. The [`Run`] builder unifies them:
+//! One entry point for every kind of evolution run: plain stepping of a
+//! [`GwSolver`], the supervised loop of [`crate::supervisor::Supervisor`],
+//! and the distributed-resilient driver of [`crate::multi`] are all
+//! described and started through the [`Run`] builder:
 //!
 //! ```no_run
 //! use gw_core::run::Run;
@@ -22,8 +19,10 @@
 //! ```
 //!
 //! Adding `.distributed(ranks)` switches to the multi-rank resilient
-//! driver (coordinated snapshots, rollback/replay); the old entry points
-//! remain as thin deprecated wrappers over the same implementations.
+//! driver (coordinated snapshots, rollback/replay). Every mode steps the
+//! same [`Rk4`](crate::rk4::Rk4) tableau over a
+//! [`CpuBackend`](crate::backend::CpuBackend) or a simulated device; a
+//! distributed rank is a CPU backend over its owned octant range.
 //!
 //! Profiling (`.profile(path)`) enables a [`Probe`], threads it through
 //! the solver/backend/device (or the comm world in distributed mode),
@@ -189,7 +188,10 @@ impl<'a> Run<'a> {
     }
 
     /// Partition the grid over this many simulated ranks and run the
-    /// resilient distributed driver.
+    /// resilient distributed driver. Each rank evolves its octants on a
+    /// CPU backend with `config.threads` workers and the pointwise `A`,
+    /// whatever `config.rhs_kind` says; `config.use_gpu` is rejected with
+    /// [`RunError::Config`].
     pub fn distributed(mut self, ranks: usize) -> Self {
         self.ranks = Some(ranks);
         self
@@ -249,14 +251,14 @@ impl<'a> Run<'a> {
         let mut summary = None;
         if let Some(sup_cfg) = self.supervised.clone() {
             let mut sup = Supervisor::new(sup_cfg);
-            let s = sup.run_inner(&mut solver, self.steps as u64).inspect_err(|_| {
+            let s = sup.supervise(&mut solver, self.steps as u64).inspect_err(|_| {
                 // Even a failed run leaves a useful trace behind.
                 self.try_write_trace(&probe, &[]);
             })?;
             retries = s.retries;
             summary = Some(s);
         } else {
-            solver.evolve_steps_inner(self.steps, self.refiner);
+            solver.evolve(self.steps, self.refiner);
         }
         let extra = device_sections(&solver);
         let trace_path = self.write_trace(&probe, &extra)?;
@@ -273,19 +275,15 @@ impl<'a> Run<'a> {
     }
 
     fn execute_distributed(mut self, ranks: usize, probe: Probe) -> Result<RunOutcome, RunError> {
+        if self.config.use_gpu {
+            return Err(ConfigError::GpuOnRanks.into());
+        }
         self.config.validate()?;
         let mesh = self.mesh.take().ok_or(RunError::Incomplete("mesh"))?;
         let init = self.init.take().ok_or(RunError::Incomplete("init"))?;
         let u0 = fill_field(&mesh, &init);
         let mut world = self.world.clone().unwrap_or_default();
         world.probe = probe.clone();
-        // One thread setting drives both drivers: unless the caller
-        // pinned an explicit overlap pool size in the WorldConfig, the
-        // overlapped path sizes its workers from `config.threads`,
-        // exactly like the single-rank backend.
-        if world.overlap_threads == 0 {
-            world.overlap_threads = self.config.threads;
-        }
         let resilience = self.resilience.clone().unwrap_or_else(|| match &self.supervised {
             Some(sup) => ResilienceConfig {
                 checkpoint_dir: sup.checkpoint_dir.clone(),
@@ -295,13 +293,12 @@ impl<'a> Run<'a> {
             },
             None => ResilienceConfig::default(),
         });
-        let out = multi::evolve_distributed_resilient_impl(
+        let out = multi::evolve_resilient(
             &mesh,
             &u0,
             ranks,
             self.steps,
-            self.config.courant,
-            self.config.params,
+            &self.config,
             world,
             &resilience,
         )
@@ -410,9 +407,11 @@ mod tests {
     }
 
     #[test]
-    fn plain_run_matches_deprecated_evolve_steps() {
+    fn plain_run_matches_manual_stepping() {
         let mut reference = GwSolver::new(SolverConfig::default(), small_mesh(), wave_init());
-        reference.evolve_steps_inner(3, None);
+        for _ in 0..3 {
+            reference.step();
+        }
         let out = Run::new(SolverConfig::default())
             .mesh(small_mesh())
             .init(wave_init())
@@ -458,11 +457,10 @@ mod tests {
     }
 
     #[test]
-    fn distributed_builder_matches_deprecated_wrapper_wiring() {
-        // Config-drift guard: threads (the overlap pool size), the
+    fn distributed_builder_matches_hand_wired_driver() {
+        // Config-drift guard: threads (the rank pool size), the
         // supervised checkpoint keys, and the obs probe must reach the
-        // unified driver exactly as the deprecated entry point passed
-        // them — spelled out by hand here on the wrapper side.
+        // distributed driver exactly as spelled out by hand here.
         let dir = std::env::temp_dir().join("gw_run_parity_test");
         let _ = std::fs::remove_dir_all(&dir);
         let ckpt = dir.join("ckpt").to_str().unwrap().to_string();
@@ -481,20 +479,13 @@ mod tests {
         let mesh = small_mesh();
         let wave = wave_init();
         let u0 = fill_field(&mesh, &wave);
-        let world = WorldConfig {
-            overlap: true,
-            overlap_threads: config.threads, // what the builder must derive
-            ..WorldConfig::default()
-        };
-        #[allow(deprecated)]
-        let reference = crate::multi::evolve_distributed_resilient(
+        let reference = crate::multi::evolve_resilient(
             &mesh,
             &u0,
             2,
             2,
-            config.courant,
-            config.params,
-            world,
+            &config,
+            WorldConfig::default(),
             &resilience,
         )
         .unwrap();
@@ -506,9 +497,6 @@ mod tests {
             .init(wave_init())
             .steps(2)
             .distributed(2)
-            // overlap_threads left 0: the builder must fill it from
-            // config.threads, matching the hand wiring above.
-            .world(WorldConfig { overlap: true, ..WorldConfig::default() })
             .supervised(sup)
             .probe(probe.clone())
             .profile(path.clone())
@@ -517,7 +505,7 @@ mod tests {
         assert_eq!(
             out.state.as_slice(),
             reference.result.state.as_slice(),
-            "builder and deprecated wrapper must drive the evolution identically"
+            "builder and hand wiring must drive the evolution identically"
         );
         assert_eq!(out.retries, reference.retries);
         if probe.is_enabled() {
@@ -526,6 +514,47 @@ mod tests {
             assert!(stats.overlap_ratio() > 0.0, "overlapped run must meter hidden halo time");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn distributed_trace_has_step_spans_from_every_rank() {
+        // Each rank steps under its own `step` span, so the trace's step
+        // coverage measures the distributed pipeline instead of
+        // defaulting to 1.0 for a trace without steps.
+        let probe = Probe::enabled();
+        let out = Run::new(SolverConfig { threads: 1, ..SolverConfig::default() })
+            .mesh(small_mesh())
+            .init(wave_init())
+            .steps(2)
+            .distributed(2)
+            .probe(probe.clone())
+            .execute()
+            .unwrap();
+        assert_eq!(out.steps_completed, 2);
+        let Some(trace) = probe.report() else { return }; // obs compiled out
+        let step_threads: std::collections::BTreeSet<u64> =
+            trace.events.iter().filter(|e| e.cat == "step").map(|e| e.tid).collect();
+        assert_eq!(step_threads.len(), 2, "one stepping thread per rank");
+        assert_eq!(trace.events.iter().filter(|e| e.cat == "step").count(), 4);
+        let coverage = trace.step_coverage();
+        assert!((0.9..1.0 + 1e-12).contains(&coverage), "step coverage {coverage}");
+        assert_eq!(probe.counter(gw_obs::Counter::Steps), 2);
+    }
+
+    #[test]
+    fn distributed_run_rejects_the_gpu_backend() {
+        let config = SolverConfig { use_gpu: true, ..SolverConfig::default() };
+        match Run::new(config)
+            .mesh(small_mesh())
+            .init(wave_init())
+            .steps(1)
+            .distributed(2)
+            .execute()
+        {
+            Err(RunError::Config(ConfigError::GpuOnRanks)) => {}
+            Err(other) => panic!("expected Config(GpuOnRanks), got {other:?}"),
+            Ok(_) => panic!("ranks must not silently evolve on the CPU"),
+        }
     }
 
     #[test]

@@ -29,6 +29,8 @@ pub enum ConfigError {
     Eta(f64),
     /// Worker-thread request above the pool's hard cap.
     Threads(usize),
+    /// `use_gpu` on a distributed run: ranks evolve on the CPU backend.
+    GpuOnRanks,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -51,6 +53,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Threads(v) => {
                 write!(f, "threads must be <= {} (got {v}); use 0 for auto", gw_par::MAX_THREADS)
             }
+            ConfigError::GpuOnRanks => write!(
+                f,
+                "use_gpu is not supported on distributed runs: ranks evolve on the CPU \
+                 backend with the pointwise A"
+            ),
         }
     }
 }
@@ -238,19 +245,9 @@ impl GwSolver {
         }
     }
 
-    /// Take `n` steps with regridding every `config.regrid_every` steps.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use crate::run::Run::new(config).steps(n).execute() — one builder covers \
-                plain, supervised, and distributed evolution"
-    )]
-    pub fn evolve_steps(&mut self, n: usize, refiner: Option<&dyn Refiner>) {
-        self.evolve_steps_inner(n, refiner);
-    }
-
-    /// Non-deprecated implementation behind [`GwSolver::evolve_steps`];
-    /// the [`crate::run::Run`] builder drives this directly.
-    pub(crate) fn evolve_steps_inner(&mut self, n: usize, refiner: Option<&dyn Refiner>) {
+    /// Take `n` steps with regridding every `config.regrid_every` steps;
+    /// the [`crate::run::Run`] builder drives this.
+    pub(crate) fn evolve(&mut self, n: usize, refiner: Option<&dyn Refiner>) {
         for i in 0..n {
             if let Some(r) = refiner {
                 let fr = self.config.regrid_every;
@@ -617,7 +614,7 @@ mod tests {
             out[gw_expr::symbols::var::gt(2, 2)] = 1.0;
         });
         let dt = solver.dt();
-        solver.evolve_steps_inner(3, None);
+        solver.evolve(3, None);
         assert_eq!(solver.steps_taken, 3);
         assert!((solver.time - 3.0 * dt).abs() < 1e-14);
     }

@@ -287,7 +287,8 @@ pub struct RunSummary {
 pub type FaultHook<'a> = Box<dyn FnMut(&mut GwSolver, u64, u32) + 'a>;
 
 /// The supervisor itself. Construct, optionally install a fault hook,
-/// then [`Supervisor::run`].
+/// then supervise a solver with it (the [`crate::run::Run`] builder's
+/// `.supervised(..)` does exactly that).
 pub struct Supervisor<'a> {
     pub config: SupervisorConfig,
     monitor: HealthMonitor,
@@ -311,22 +312,7 @@ impl<'a> Supervisor<'a> {
     /// supervision. On success the solver holds the final state; on
     /// [`SupervisorError::RetriesExhausted`] it holds the last rollback
     /// point.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use crate::run::Run::new(config).supervised(policy).execute() — one builder \
-                covers plain, supervised, and distributed evolution"
-    )]
-    pub fn run(
-        &mut self,
-        solver: &mut GwSolver,
-        target_steps: u64,
-    ) -> Result<RunSummary, SupervisorError> {
-        self.run_inner(solver, target_steps)
-    }
-
-    /// Non-deprecated implementation behind [`Supervisor::run`]; the
-    /// [`crate::run::Run`] builder drives this directly.
-    pub(crate) fn run_inner(
+    pub(crate) fn supervise(
         &mut self,
         solver: &mut GwSolver,
         target_steps: u64,
@@ -447,9 +433,6 @@ impl<'a> Supervisor<'a> {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated `Supervisor::run` wrapper is exercised on purpose:
-    // it must keep delegating faithfully until removal.
-    #![allow(deprecated)]
     use super::*;
     use crate::solver::SolverConfig;
     use gw_bssn::init::LinearWaveData;
@@ -471,7 +454,7 @@ mod tests {
     fn healthy_run_has_no_retries() {
         let mut solver = demo_solver(SolverConfig::default());
         let mut sup = Supervisor::new(SupervisorConfig::default());
-        let summary = sup.run(&mut solver, 3).unwrap();
+        let summary = sup.supervise(&mut solver, 3).unwrap();
         assert_eq!(summary.steps_completed, 3);
         assert_eq!(summary.retries, 0);
         assert!(summary.failures.is_empty());
@@ -522,7 +505,7 @@ mod tests {
                 s.backend.upload(&u);
             }
         }));
-        let summary = sup.run(&mut solver, 4).unwrap();
+        let summary = sup.supervise(&mut solver, 4).unwrap();
         assert_eq!(summary.retries, 1);
         assert_eq!(summary.failures.len(), 1);
         assert_eq!(summary.failures[0].step, 2);
@@ -551,7 +534,7 @@ mod tests {
                 s.backend.upload(&u);
             }
         }));
-        match sup.run(&mut solver, 4) {
+        match sup.supervise(&mut solver, 4) {
             Err(SupervisorError::RetriesExhausted { attempts, last_report }) => {
                 assert_eq!(attempts, 2);
                 assert_eq!(last_report.step, 2);
@@ -580,7 +563,7 @@ mod tests {
                 s.backend.upload(&u);
             }
         }));
-        let summary = sup.run(&mut solver, 2).unwrap();
+        let summary = sup.supervise(&mut solver, 2).unwrap();
         assert_eq!(summary.retries, 2);
         assert!((solver.config.courant - base_courant * 0.25).abs() < 1e-15);
         assert!(
@@ -608,7 +591,7 @@ mod tests {
             ..Default::default()
         };
         let mut sup = Supervisor::new(cfg);
-        let summary = sup.run(&mut solver, 5).unwrap();
+        let summary = sup.supervise(&mut solver, 5).unwrap();
         let written = summary
             .events
             .iter()

@@ -2,6 +2,7 @@
 
 use gw_par::{ThreadPool, UnsafeSlice};
 use gw_stencil::patch::{BLOCK_VOLUME, PATCH_VOLUME};
+use std::ops::Range;
 
 /// Chunk length for the element-wise parallel kernels (AXPY, copy): big
 /// enough to amortize task dispatch, small enough to load-balance.
@@ -74,15 +75,20 @@ impl Field {
     /// Chunk-parallel [`Field::axpy`]. Each output element depends only
     /// on its own input pair, so any chunking is bit-identical to serial.
     pub fn axpy_par(&mut self, a: f64, other: &Field, pool: &ThreadPool) {
+        self.axpy_octants_par(a, other, 0..self.n_oct, pool);
+    }
+
+    /// [`Field::axpy_par`] over the blocks of octants `octs` only.
+    pub fn axpy_octants_par(
+        &mut self,
+        a: f64,
+        other: &Field,
+        octs: Range<usize>,
+        pool: &ThreadPool,
+    ) {
         assert_eq!(self.data.len(), other.data.len());
-        let n = self.data.len();
-        let out = UnsafeSlice::new(&mut self.data);
-        pool.for_each(n.div_ceil(AXPY_CHUNK), |ci| {
-            let s = ci * AXPY_CHUNK;
-            let e = (s + AXPY_CHUNK).min(n);
-            // Safety: chunks are disjoint.
-            let dst = unsafe { out.slice_mut(s, e - s) };
-            for (x, y) in dst.iter_mut().zip(other.data[s..e].iter()) {
+        self.for_chunks_par(octs, pool, |dst, s| {
+            for (x, y) in dst.iter_mut().zip(other.data[s..].iter()) {
                 *x += a * y;
             }
         });
@@ -90,33 +96,58 @@ impl Field {
 
     /// Chunk-parallel [`Field::assign_axpy`].
     pub fn assign_axpy_par(&mut self, base: &Field, a: f64, slope: &Field, pool: &ThreadPool) {
+        self.assign_axpy_octants_par(base, a, slope, 0..self.n_oct, pool);
+    }
+
+    /// [`Field::assign_axpy_par`] over the blocks of octants `octs` only.
+    pub fn assign_axpy_octants_par(
+        &mut self,
+        base: &Field,
+        a: f64,
+        slope: &Field,
+        octs: Range<usize>,
+        pool: &ThreadPool,
+    ) {
         assert_eq!(self.data.len(), base.data.len());
         assert_eq!(self.data.len(), slope.data.len());
-        let n = self.data.len();
-        let out = UnsafeSlice::new(&mut self.data);
-        pool.for_each(n.div_ceil(AXPY_CHUNK), |ci| {
-            let s = ci * AXPY_CHUNK;
-            let e = (s + AXPY_CHUNK).min(n);
-            // Safety: chunks are disjoint.
-            let dst = unsafe { out.slice_mut(s, e - s) };
+        self.for_chunks_par(octs, pool, |dst, s| {
             for ((x, b), sl) in
-                dst.iter_mut().zip(base.data[s..e].iter()).zip(slope.data[s..e].iter())
+                dst.iter_mut().zip(base.data[s..].iter()).zip(slope.data[s..].iter())
             {
                 *x = b + a * sl;
             }
         });
     }
 
-    /// Chunk-parallel copy of `other`'s contents into `self`.
-    pub fn copy_from_par(&mut self, other: &Field, pool: &ThreadPool) {
+    /// Chunk-parallel copy of `other`'s blocks of octants `octs` into
+    /// `self`.
+    pub fn copy_octants_par(&mut self, other: &Field, octs: Range<usize>, pool: &ThreadPool) {
         assert_eq!(self.data.len(), other.data.len());
-        let n = self.data.len();
+        self.for_chunks_par(octs, pool, |dst, s| {
+            dst.copy_from_slice(&other.data[s..s + dst.len()]);
+        });
+    }
+
+    /// Run `f(chunk, offset)` over disjoint chunks of the blocks of
+    /// octants `octs` in every variable, on the pool; `offset` is the
+    /// chunk's flat start in `self`.
+    fn for_chunks_par(
+        &mut self,
+        octs: Range<usize>,
+        pool: &ThreadPool,
+        f: impl Fn(&mut [f64], usize) + Sync,
+    ) {
+        assert!(octs.end <= self.n_oct);
+        let span = octs.len() * BLOCK_VOLUME;
+        let per_var = span.div_ceil(AXPY_CHUNK);
+        let n_oct = self.n_oct;
         let out = UnsafeSlice::new(&mut self.data);
-        pool.for_each(n.div_ceil(AXPY_CHUNK), |ci| {
-            let s = ci * AXPY_CHUNK;
-            let e = (s + AXPY_CHUNK).min(n);
+        pool.for_each(self.dof * per_var, |ci| {
+            let (var, c) = (ci / per_var, ci % per_var);
+            let s = (var * n_oct + octs.start) * BLOCK_VOLUME + c * AXPY_CHUNK;
+            let len = AXPY_CHUNK.min(span - c * AXPY_CHUNK);
             // Safety: chunks are disjoint.
-            unsafe { out.slice_mut(s, e - s) }.copy_from_slice(&other.data[s..e]);
+            f(unsafe { out.slice_mut(s, len) }, s);
         });
     }
 
@@ -244,8 +275,17 @@ mod tests {
             z.assign_axpy_par(&b, -1.7, &s, &pool);
             assert_eq!(z, z_ref);
             let mut c = Field::zeros(dof, n_oct);
-            c.copy_from_par(&y, &pool);
+            c.copy_octants_par(&y, 0..n_oct, &pool);
             assert_eq!(c, y);
+            // An octant range touches its own blocks and nothing else.
+            let mut part = x0.clone();
+            part.axpy_octants_par(0.3, &y, 1..3, &pool);
+            for var in 0..dof {
+                for oct in 0..n_oct {
+                    let want = if (1..3).contains(&oct) { &x_ref } else { &x0 };
+                    assert_eq!(part.block(var, oct), want.block(var, oct));
+                }
+            }
         }
     }
 

@@ -6,7 +6,7 @@
 //! correctness oracle and the single-core baseline of Fig. 7.
 
 use crate::field::{Field, PatchField};
-use crate::grid::{Mesh, ScatterKind, ScatterOp};
+use crate::grid::{Mesh, ScatterKind, ScatterOp, SyncCopy};
 use gw_par::{tree_reduce, ThreadPool, UnsafeSlice};
 use gw_stencil::interp::{ProlongWorkspace, Prolongation, FINE_SIDE};
 use gw_stencil::patch::{PatchLayout, PADDING, PATCH_VOLUME, POINTS_PER_SIDE};
@@ -166,6 +166,26 @@ pub fn fill_patches_scatter_par(
     patches: &mut PatchField,
     pool: &ThreadPool,
 ) -> u64 {
+    let n = mesh.n_octants();
+    let all: Vec<usize> = (0..n).collect();
+    fill_patches_scatter_from(mesh, field, patches, &all, 0..n, pool)
+}
+
+/// [`fill_patches_scatter_par`] from the source octants `sources` into
+/// the destination patches `dst` only: a source inside `dst` also copies
+/// its own interior, ops aimed outside `dst` are skipped, and a source
+/// prolongs only when one of its kept ops needs it. The write partition
+/// makes scatters from disjoint source sets commute, so a distributed
+/// rank can fill its patches from its owned sources first and from the
+/// received ghosts later and get the same bits as one whole-mesh call.
+pub fn fill_patches_scatter_from(
+    mesh: &Mesh,
+    field: &Field,
+    patches: &mut PatchField,
+    sources: &[usize],
+    dst: std::ops::Range<usize>,
+    pool: &ThreadPool,
+) -> u64 {
     thread_local! {
         static SCRATCH: RefCell<Option<(ProlongWorkspace, Vec<f64>)>> =
             const { RefCell::new(None) };
@@ -173,9 +193,9 @@ pub fn fill_patches_scatter_par(
     let prolong = Prolongation::new();
     let dof = field.dof;
     let n_oct = patches.n_oct;
-    let n = mesh.n_octants();
     let out = UnsafeSlice::new(patches.as_mut_slice());
-    let flops: Vec<u64> = pool.map(n, |e| {
+    let flops: Vec<u64> = pool.map(sources.len(), |i| {
+        let e = sources[i];
         SCRATCH.with(|cell| {
             let mut guard = cell.borrow_mut();
             let (ws, fine13) = guard.get_or_insert_with(|| {
@@ -183,27 +203,30 @@ pub fn fill_patches_scatter_par(
             });
             let o = PatchLayout::octant();
             let p = PatchLayout::padded();
+            let kept = |op: &&ScatterOp| dst.contains(&(op.dst as usize));
             let ops = mesh.scatter_of(e);
-            let needs_prolong = ops.iter().any(|op| op.kind == ScatterKind::Prolong);
+            let needs_prolong = ops.iter().filter(kept).any(|op| op.kind == ScatterKind::Prolong);
             let mut fl = 0u64;
             for var in 0..dof {
                 let src = field.block(var, e);
-                // Own interior: this task is the sole writer of patch
-                // (var, e)'s interior region.
-                let own = (var * n_oct + e) * PATCH_VOLUME;
-                for (i, j, k) in o.iter() {
-                    // Safety: single writer per point (see fn docs).
-                    unsafe {
-                        out.write(
-                            own + p.idx(i + PADDING, j + PADDING, k + PADDING),
-                            src[o.idx(i, j, k)],
-                        )
-                    };
+                if dst.contains(&e) {
+                    // Own interior: this task is the sole writer of patch
+                    // (var, e)'s interior region.
+                    let own = (var * n_oct + e) * PATCH_VOLUME;
+                    for (i, j, k) in o.iter() {
+                        // Safety: single writer per point (see fn docs).
+                        unsafe {
+                            out.write(
+                                own + p.idx(i + PADDING, j + PADDING, k + PADDING),
+                                src[o.idx(i, j, k)],
+                            )
+                        };
+                    }
                 }
                 if needs_prolong {
                     fl += prolong.prolong3d_ws(src, fine13, ws);
                 }
-                for op in ops {
+                for op in ops.iter().filter(kept) {
                     let base = (var * n_oct + op.dst as usize) * PATCH_VOLUME;
                     let sarr: &[f64] = if op.kind == ScatterKind::Prolong { fine13 } else { src };
                     for_each_scatter_point(op, |dst_idx, src_idx| {
@@ -272,12 +295,21 @@ pub fn sync_interfaces(mesh: &Mesh, field: &mut Field) {
 /// for another, so cross-copy order within a variable is preserved, while
 /// distinct variables touch disjoint storage.
 pub fn sync_interfaces_par(mesh: &Mesh, field: &mut Field, pool: &ThreadPool) {
+    sync_copies_par(&mesh.syncs, field, pool);
+}
+
+/// [`sync_interfaces_par`] over an explicit copy list (a distributed
+/// rank applies the syncs into its owned octants, in mesh order).
+pub fn sync_copies_par(syncs: &[SyncCopy], field: &mut Field, pool: &ThreadPool) {
     use gw_stencil::patch::BLOCK_VOLUME;
+    if syncs.is_empty() {
+        return;
+    }
     let n_oct = field.n_oct;
     let dof = field.dof;
     let out = UnsafeSlice::new(field.as_mut_slice());
     pool.for_each_chunked(dof, 1, |var| {
-        for c in &mesh.syncs {
+        for c in syncs {
             // Safety: all accesses of task `var` stay within variable
             // `var`'s block range; tasks are disjoint per variable.
             unsafe {
@@ -297,23 +329,9 @@ pub fn sync_interfaces_par(mesh: &Mesh, field: &mut Field, pool: &ThreadPool) {
 /// boundaries, which the solver additionally treats with Sommerfeld
 /// conditions on the RHS).
 pub fn fill_boundary_padding(mesh: &Mesh, patches: &mut PatchField, dof: usize) {
-    fill_boundary_padding_range(mesh, patches, dof, 0..mesh.n_octants());
-}
-
-/// [`fill_boundary_padding`] restricted to octants in `range` (used by
-/// the distributed driver, which only owns a contiguous SFC range).
-pub fn fill_boundary_padding_range(
-    mesh: &Mesh,
-    patches: &mut PatchField,
-    dof: usize,
-    range: std::ops::Range<usize>,
-) {
     let p = PatchLayout::padded();
     for var in 0..dof {
         for &(oct, delta) in &mesh.boundary_regions {
-            if !range.contains(&(oct as usize)) {
-                continue;
-            }
             let patch = patches.patch_mut(var, oct as usize);
             for pz in region_range(delta[2]) {
                 for py in region_range(delta[1]) {
@@ -343,8 +361,18 @@ pub fn fill_boundary_padding_par(
     dof: usize,
     pool: &ThreadPool,
 ) {
+    fill_boundary_regions_par(&mesh.boundary_regions, patches, dof, pool);
+}
+
+/// [`fill_boundary_padding_par`] over an explicit region list (a
+/// distributed rank pads only the patches it owns).
+pub fn fill_boundary_regions_par(
+    regions: &[(u32, [i8; 3])],
+    patches: &mut PatchField,
+    dof: usize,
+    pool: &ThreadPool,
+) {
     let n_oct = patches.n_oct;
-    let regions = &mesh.boundary_regions;
     let out = UnsafeSlice::new(patches.as_mut_slice());
     pool.for_each(regions.len(), |ri| {
         let (oct, delta) = regions[ri];
@@ -609,6 +637,43 @@ mod tests {
             let mut sync = f.clone();
             sync_interfaces_par(&mesh, &mut sync, &pool);
             assert_eq!(bits(sync.as_slice()), bits(sync_ref.as_slice()));
+        }
+    }
+
+    /// A rank's two-part fill — owned sources first, then the ghosts
+    /// that feed its patches — writes exactly what the whole-mesh scatter
+    /// writes into the owned patches.
+    #[test]
+    fn owned_then_ghost_scatter_matches_whole_mesh_on_owned_patches() {
+        let mesh = adaptive_mesh();
+        let f = analytic_field(&mesh);
+        let n = mesh.n_octants();
+        let pool = gw_par::ThreadPool::new(2);
+        let mut whole = PatchField::zeros(1, n);
+        whole.fill(f64::NAN);
+        fill_patches_scatter_par(&mesh, &f, &mut whole, &pool);
+        let owned = n / 3..2 * n / 3;
+        let mine: Vec<usize> = owned.clone().collect();
+        let mut ghosts: Vec<usize> = mine
+            .iter()
+            .flat_map(|&e| mesh.gather_of(e).iter().map(|op| op.src as usize))
+            .filter(|s| !owned.contains(s))
+            .collect();
+        ghosts.sort_unstable();
+        ghosts.dedup();
+        assert!(!ghosts.is_empty());
+        let mut split = PatchField::zeros(1, n);
+        split.fill(f64::NAN);
+        fill_patches_scatter_from(&mesh, &f, &mut split, &mine, owned.clone(), &pool);
+        fill_patches_scatter_from(&mesh, &f, &mut split, &ghosts, owned.clone(), &pool);
+        let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for e in 0..n {
+            let got = split.patch(0, e);
+            if owned.contains(&e) {
+                assert_eq!(bits(got), bits(whole.patch(0, e)), "owned patch {e}");
+            } else {
+                assert!(got.iter().all(|v| v.is_nan()), "patch {e} is not owned");
+            }
         }
     }
 

@@ -1,10 +1,6 @@
 //! Distributed-evolution integration: multi-rank runs against the
 //! single-rank reference, ghost-plan properties, scaling-model inputs.
 
-// The deprecated wrappers are exercised on purpose: they must keep
-// delegating to the same implementation the `Run` builder drives.
-#![allow(deprecated)]
-
 use gw_bssn::init::LinearWaveData;
 use gw_bssn::BssnParams;
 use gw_comm::world::WorldConfig;
@@ -12,17 +8,44 @@ use gw_comm::{CommFaultPlan, GhostSchedule};
 use gw_core::backend::{Backend, CpuBackend, RhsKind};
 use gw_core::checkpoint::{latest_snapshot, load_distributed};
 use gw_core::multi::{
-    dependencies, evolve_distributed, evolve_distributed_cfg, evolve_distributed_resilient,
-    DistributedError, KillSpec, RecoveryEvent, ResilienceConfig,
+    dependencies, evolve_distributed, evolve_distributed_cfg, DistributedError, KillSpec,
+    RecoveryEvent, ResilienceConfig, ResilientOutcome,
 };
 use gw_core::rk4::Rk4;
-use gw_core::solver::fill_field;
+use gw_core::run::{Run, RunError};
+use gw_core::solver::{fill_field, SolverConfig};
 use gw_core::supervisor::DegradationPolicy;
 use gw_integration_tests::{adaptive_mesh, uniform_mesh};
 use gw_octree::partition::partition_uniform;
 use gw_octree::Domain;
 use gw_perfmodel::scaling::{project_step, strong_efficiency, Network};
 use std::time::Duration;
+
+/// A resilient distributed run of the linear wave through the `Run`
+/// builder, on `ranks` ranks with `threads` workers each.
+fn resilient_wave_run(
+    mesh: gw_mesh::Mesh,
+    ranks: usize,
+    steps: usize,
+    threads: usize,
+    world: WorldConfig,
+    resilience: ResilienceConfig,
+) -> Result<ResilientOutcome, DistributedError> {
+    let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
+    let out = Run::new(SolverConfig { threads, ..SolverConfig::default() })
+        .mesh(mesh)
+        .init(move |p, out| wave.evaluate(p, out))
+        .steps(steps)
+        .distributed(ranks)
+        .world(world)
+        .resilience(resilience)
+        .execute();
+    match out {
+        Ok(out) => Ok(out.distributed.expect("distributed runs report their outcome")),
+        Err(RunError::Distributed(e)) => Err(e),
+        Err(other) => panic!("unexpected run error: {other}"),
+    }
+}
 
 /// Fault-plan seeds for the chaos tests. CI sweeps more seeds by setting
 /// `GW_CHAOS_SEED`; locally the default trio runs.
@@ -160,8 +183,6 @@ fn killed_rank_is_named_and_run_aborts_without_checkpoints() {
     // receive deadline it would burn per exchange if it were hanging).
     let domain = Domain::centered_cube(8.0);
     let mesh = uniform_mesh(domain, 2);
-    let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
-    let u0 = fill_field(&mesh, &|p, out: &mut [f64]| wave.evaluate(p, out));
     let resilience = ResilienceConfig {
         checkpoint_dir: None,
         checkpoint_every: 1,
@@ -171,17 +192,8 @@ fn killed_rank_is_named_and_run_aborts_without_checkpoints() {
     let cfg =
         WorldConfig { heartbeat_interval: Duration::from_millis(5), ..WorldConfig::default() };
     let started = std::time::Instant::now();
-    let err = evolve_distributed_resilient(
-        &mesh,
-        &u0,
-        3,
-        2,
-        0.25,
-        BssnParams::default(),
-        cfg,
-        &resilience,
-    )
-    .expect_err("no retries allowed: the death must abort the run");
+    let err = resilient_wave_run(mesh, 3, 2, 0, cfg, resilience)
+        .expect_err("no retries allowed: the death must abort the run");
     assert!(started.elapsed() < Duration::from_secs(8), "detection must not hang");
     match &err {
         DistributedError::RetriesExhausted { last, .. } => {
@@ -221,7 +233,7 @@ fn chaos_kill_plus_message_faults_recovers_via_manifest() {
             heartbeat_interval: Duration::from_millis(5),
             ..WorldConfig::default()
         };
-        let out = evolve_distributed_resilient(&mesh, &u0, 3, 3, 0.25, params, cfg, &resilience)
+        let out = resilient_wave_run(uniform_mesh(domain, 2), 3, 3, 0, cfg, resilience)
             .unwrap_or_else(|e| panic!("seed {seed}: chaos run must recover: {e}"));
         assert_eq!(out.retries, 1, "seed {seed}: one rollback for one death");
         match &out.events[..] {
@@ -238,19 +250,14 @@ fn chaos_kill_plus_message_faults_recovers_via_manifest() {
 }
 
 #[test]
-fn overlapped_chaos_matrix_matches_blocking_bitwise() {
-    // The overlapped exchange must survive the same chaos the blocking
-    // path does, and land on the *same bits*: for every seed and worker
-    // count, a run with `overlap: true` under seeded drop/truncate/corrupt
-    // faults must match the fault-free blocking run both in final state
-    // and in the committed checkpoint bodies (manifest shard CRCs) — the
-    // overlap window must never reorder a reduction or let a retransmitted
-    // ghost land in a different slot.
+fn chaos_matrix_matches_fault_free_run_bitwise() {
+    // The overlapped exchange must survive seeded chaos and land on the
+    // *same bits*: for every seed and worker count, a run under seeded
+    // drop/truncate/corrupt faults must match the fault-free run both in
+    // final state and in the committed checkpoint bodies (manifest shard
+    // CRCs) — the overlap window must never reorder a reduction or let a
+    // retransmitted ghost land in a different slot.
     let domain = Domain::centered_cube(8.0);
-    let mesh = uniform_mesh(domain, 2);
-    let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
-    let u0 = fill_field(&mesh, &|p, out: &mut [f64]| wave.evaluate(p, out));
-    let params = BssnParams::default();
 
     let tmp = std::env::temp_dir();
     let ref_dir = tmp.join("gw_amr_overlap_ref").to_str().unwrap().to_string();
@@ -261,17 +268,15 @@ fn overlapped_chaos_matrix_matches_blocking_bitwise() {
         degradation: DegradationPolicy { courant_factor: 1.0, ko_boost: 0.0, max_retries: 2 },
         kill_once: None,
     };
-    let reference = evolve_distributed_resilient(
-        &mesh,
-        &u0,
+    let reference = resilient_wave_run(
+        uniform_mesh(domain, 2),
         3,
         2,
-        0.25,
-        params,
+        0,
         WorldConfig::default(),
-        &resilience_for(&ref_dir),
+        resilience_for(&ref_dir),
     )
-    .expect("fault-free blocking reference");
+    .expect("fault-free reference");
     let ref_snap = latest_snapshot(&ref_dir)
         .expect("reference snapshot root readable")
         .expect("reference run committed a snapshot");
@@ -286,8 +291,6 @@ fn overlapped_chaos_matrix_matches_blocking_bitwise() {
                 .to_string();
             let _ = std::fs::remove_dir_all(&dir);
             let cfg = WorldConfig {
-                overlap: true,
-                overlap_threads: threads,
                 faults: Some(
                     CommFaultPlan::new(seed)
                         .with_drop_rate(0.02)
@@ -298,31 +301,29 @@ fn overlapped_chaos_matrix_matches_blocking_bitwise() {
                 heartbeat_interval: Duration::from_millis(5),
                 ..WorldConfig::default()
             };
-            let out = evolve_distributed_resilient(
-                &mesh,
-                &u0,
+            let out = resilient_wave_run(
+                uniform_mesh(domain, 2),
                 3,
                 2,
-                0.25,
-                params,
+                threads,
                 cfg,
-                &resilience_for(&dir),
+                resilience_for(&dir),
             )
             .unwrap_or_else(|e| {
-                panic!("seed {seed} threads {threads}: overlapped chaos run must recover: {e}")
+                panic!("seed {seed} threads {threads}: chaos run must recover: {e}")
             });
             for (a, b) in
                 reference.result.state.as_slice().iter().zip(out.result.state.as_slice().iter())
             {
-                assert_eq!(a, b, "seed {seed} threads {threads}: state must match blocking");
+                assert_eq!(a, b, "seed {seed} threads {threads}: state must match fault-free");
             }
             let snap = latest_snapshot(&dir)
-                .expect("overlap snapshot root readable")
+                .expect("chaos snapshot root readable")
                 .unwrap_or_else(|| panic!("seed {seed} threads {threads}: no snapshot committed"));
-            let ck = load_distributed(&snap).expect("overlap manifest loads");
+            let ck = load_distributed(&snap).expect("chaos manifest loads");
             assert_eq!(
                 ck.manifest.shard_crcs, ref_ck.manifest.shard_crcs,
-                "seed {seed} threads {threads}: checkpoint body CRCs must match blocking"
+                "seed {seed} threads {threads}: checkpoint body CRCs must match fault-free"
             );
             assert_eq!(ck.manifest.shard_lens, ref_ck.manifest.shard_lens);
             assert_eq!(ck.manifest.steps_taken, ref_ck.manifest.steps_taken);
