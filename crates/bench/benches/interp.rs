@@ -1,7 +1,7 @@
 //! Criterion bench: stencil and interpolation kernels.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gw_stencil::fd::DerivOps;
+use gw_stencil::fd::{DerivOps, RawSlabs};
 use gw_stencil::interp::{ProlongWorkspace, Prolongation, FINE_SIDE};
 use gw_stencil::ko::ko_dissipation;
 use gw_stencil::patch::{PatchLayout, BLOCK_VOLUME, PATCH_VOLUME};
@@ -16,7 +16,16 @@ fn bench_kernels(c: &mut Criterion) {
 
     group.bench_function("deriv-x", |b| b.iter(|| ops.deriv(0, &patch, &mut out)));
     group.bench_function("deriv2-z", |b| b.iter(|| ops.deriv2(2, &patch, &mut out)));
-    group.bench_function("deriv-mixed-xy", |b| b.iter(|| ops.deriv_mixed(0, 1, &patch, &mut out)));
+    // The factored mixed derivatives: both raw slabs, then the three sweeps.
+    let mut slabs = RawSlabs::new();
+    group.bench_function("deriv-mixed-xy-xz-yz", |b| {
+        b.iter(|| {
+            ops.load_slabs(&patch, &mut slabs);
+            for (a, c) in [(0, 1), (0, 2), (1, 2)] {
+                ops.mixed_from_slabs(a, c, &slabs, &mut out);
+            }
+        })
+    });
     group.bench_function("advective-x", |b| {
         b.iter(|| ops.deriv_advective(0, &patch, true, &mut out))
     });

@@ -15,7 +15,8 @@
 //! chosen so that `∂_t u += Q u` damps: the symbol of the 6th difference is
 //! `−(2 sin(ξ/2))^6 ≤ 0`, scaled by `+σ/64`.
 
-use crate::patch::{PatchLayout, PADDING, PATCH_SIDE, POINTS_PER_SIDE};
+use crate::fd::apply_axis;
+use crate::patch::BLOCK_VOLUME;
 
 /// 7-point 6th-difference coefficients (binomial row 6, alternating sign).
 pub const KO_WEIGHTS: [f64; 7] = [1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0];
@@ -27,25 +28,13 @@ pub const KO_NORM: f64 = 64.0;
 /// the `r^3` output block (so it can be fused into an RHS that was already
 /// written).
 pub fn ko_dissipation(sigma: f64, inv_h: f64, patch: &[f64], out: &mut [f64]) {
-    let p = PatchLayout::padded();
-    let o = PatchLayout::octant();
-    debug_assert_eq!(patch.len(), p.volume());
-    debug_assert_eq!(out.len(), o.volume());
+    debug_assert_eq!(out.len(), BLOCK_VOLUME);
     let scale = sigma * inv_h / KO_NORM;
-    let strides = [1isize, PATCH_SIDE as isize, (PATCH_SIDE * PATCH_SIDE) as isize];
-    for kz in 0..POINTS_PER_SIDE {
-        for ky in 0..POINTS_PER_SIDE {
-            for kx in 0..POINTS_PER_SIDE {
-                let c = p.idx(kx + PADDING, ky + PADDING, kz + PADDING) as isize;
-                let mut acc = 0.0;
-                for &st in &strides {
-                    for (t, &w) in KO_WEIGHTS.iter().enumerate() {
-                        let off = t as isize - 3;
-                        acc += w * patch[(c + off * st) as usize];
-                    }
-                }
-                out[o.idx(kx, ky, kz)] += acc * scale;
-            }
+    let mut q = [0.0; BLOCK_VOLUME];
+    for axis in 0..3 {
+        apply_axis(axis, &KO_WEIGHTS, scale, patch, &mut q);
+        for (o, &q) in out.iter_mut().zip(&q) {
+            *o += q;
         }
     }
 }
@@ -54,34 +43,13 @@ pub fn ko_dissipation(sigma: f64, inv_h: f64, patch: &[f64], out: &mut [f64]) {
 /// output block. Used where the code generator wants the 72 KO derivatives
 /// as separate inputs (section IV-B counts them in the 210).
 pub fn ko_deriv_axis(axis: usize, inv_h: f64, patch: &[f64], out: &mut [f64]) {
-    let p = PatchLayout::padded();
-    let o = PatchLayout::octant();
-    debug_assert_eq!(patch.len(), p.volume());
-    debug_assert_eq!(out.len(), o.volume());
-    let st = match axis {
-        0 => 1isize,
-        1 => PATCH_SIDE as isize,
-        _ => (PATCH_SIDE * PATCH_SIDE) as isize,
-    };
-    let scale = inv_h / KO_NORM;
-    for kz in 0..POINTS_PER_SIDE {
-        for ky in 0..POINTS_PER_SIDE {
-            for kx in 0..POINTS_PER_SIDE {
-                let c = p.idx(kx + PADDING, ky + PADDING, kz + PADDING) as isize;
-                let mut acc = 0.0;
-                for (t, &w) in KO_WEIGHTS.iter().enumerate() {
-                    let off = t as isize - 3;
-                    acc += w * patch[(c + off * st) as usize];
-                }
-                out[o.idx(kx, ky, kz)] = acc * scale;
-            }
-        }
-    }
+    apply_axis(axis, &KO_WEIGHTS, inv_h / KO_NORM, patch, out);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::patch::{PatchLayout, PADDING};
 
     fn fill_patch(f: impl Fn(f64, f64, f64) -> f64, h: f64) -> Vec<f64> {
         let p = PatchLayout::padded();

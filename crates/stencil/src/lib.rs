@@ -2,14 +2,16 @@
 //!
 //! The paper discretizes the BSSN equations with 6th-order centered finite
 //! differences (`O(h^6)`), upwind-biased advective derivatives for the
-//! shift-advection terms, and Kreiss–Oliger dissipation built from the 8th
-//! derivative (the standard companion to a 6th-order scheme). Octants carry
-//! `r = 7` points per side padded by `k = 3` ghost layers, so a padded patch
-//! is `13^3` and interior stencils never leave the patch.
+//! shift-advection terms, and Kreiss–Oliger dissipation built from the
+//! 7-point 6th difference (the widest centered difference the `k = 3`
+//! padding admits). Octants carry `r = 7` points per side padded by `k = 3`
+//! ghost layers, so a padded patch is `13^3` and interior stencils never
+//! leave the patch.
 //!
 //! Modules:
-//! * [`fd`] — 1D stencil coefficient tables and 3D patch application
-//!   (first, second, mixed, advective derivatives).
+//! * [`fd`] — 1D stencil coefficient tables and their 3D patch
+//!   application (first, second, mixed, advective derivatives) through one
+//!   vectorized 7-tap line sweep.
 //! * [`ko`] — Kreiss–Oliger dissipation operator.
 //! * [`interp`] — 1D polynomial prolongation (coarse→fine) and injection
 //!   (fine→coarse) operators and their 3D tensor-product application, used
