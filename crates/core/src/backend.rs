@@ -22,11 +22,13 @@ use gw_expr::symbols::{NUM_INPUTS, NUM_VARS};
 use gw_expr::tape::Tape;
 use gw_gpu_sim::{CounterSnapshot, Device, LaunchConfig};
 use gw_mesh::grid::SyncCopy;
-use gw_mesh::scatter::{fill_boundary_regions_par, fill_patches_scatter_from, sync_copies_par};
-use gw_mesh::{Field, Mesh, PatchField};
+use gw_mesh::scatter::{for_each_clamp_point, sync_copies_par};
+use gw_mesh::{gather_patches, Field, Mesh, ProlongCache};
 use gw_obs::{Counter, Phase, Probe};
 use gw_par::{tree_reduce, ThreadPool, UnsafeSlice};
-use gw_stencil::patch::{PatchLayout, BLOCK_VOLUME, PADDING, PATCH_VOLUME, POINTS_PER_SIDE};
+use gw_stencil::interp::ProlongWorkspace;
+use gw_stencil::patch::{BLOCK_VOLUME, PATCH_VOLUME};
+use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -189,11 +191,18 @@ pub trait Backend: Send {
     }
 }
 
-/// Host (CPU) backend: patch-parallel loops over octants on a shared
-/// thread pool — the "CPU node" side of the paper's comparisons. With
-/// `threads = 1` it degenerates to the original sequential reference;
-/// results are bit-identical at every thread count (every output slot has
-/// exactly one writer, and reductions are fixed-order — see DESIGN.md).
+/// Host (CPU) backend: octant-parallel loops on a shared thread pool —
+/// the "CPU node" side of the paper's comparisons. With `threads = 1` it
+/// degenerates to the original sequential reference; results are
+/// bit-identical at every thread count (every output slot has exactly one
+/// writer, and reductions are fixed-order — see DESIGN.md).
+///
+/// The octant→patch step is fused into the RHS: `o2p` prolongs each
+/// coarse source once into a [`ProlongCache`], and each RHS task gathers
+/// its octant's 24 padded patches into a per-worker local patch
+/// ([`gather_patches`]) and evaluates them at once, so no full-mesh patch
+/// store exists. The patches are bitwise the paper's scatter's (the
+/// gpu-sim backend runs that kernel).
 ///
 /// A backend evolves the octants it owns: the whole mesh on a
 /// single rank, one SFC range on a distributed rank. Every kernel touches
@@ -203,7 +212,10 @@ pub struct CpuBackend {
     params: BssnParams,
     tape: Option<Tape>,
     bufs: [Field; NUM_BUFS],
-    patches: PatchField,
+    cache: ProlongCache,
+    /// The input of the stage whose cache `o2p` filled: the slot the RHS
+    /// gathers from.
+    input: Buf,
     masks: Vec<u8>,
     owned: Owned,
     pool: Arc<ThreadPool>,
@@ -227,17 +239,11 @@ pub enum Sources {
 /// Built once per backend from the mesh's gather map and sync list.
 pub(crate) struct Owned {
     pub(crate) range: Range<usize>,
-    /// The owned octants, in order (the sources of the owned scatter).
-    octants: Vec<usize>,
     /// Owned octants whose patches read only owned blocks — their RHS
     /// can run while the ghosts are still in flight.
     pub(crate) interior: Vec<usize>,
     /// Owned octants with at least one ghost source.
     pub(crate) boundary: Vec<usize>,
-    /// Non-owned octants that scatter into owned patches.
-    pub(crate) ghosts: Vec<usize>,
-    /// Physical-boundary padding regions of the owned patches.
-    regions: Vec<(u32, [i8; 3])>,
     /// Syncs into owned octants from owned sources, applicable before
     /// the ghosts arrive, in mesh order.
     pub(crate) syncs_owned: Vec<SyncCopy>,
@@ -250,15 +256,6 @@ impl Owned {
         let is_owned = |o: u32| range.contains(&(o as usize));
         let (interior, boundary): (Vec<usize>, Vec<usize>) =
             range.clone().partition(|&e| mesh.gather_of(e).iter().all(|op| is_owned(op.src)));
-        let mut ghosts: Vec<usize> = boundary
-            .iter()
-            .flat_map(|&e| mesh.gather_of(e).iter().map(|op| op.src))
-            .filter(|&s| !is_owned(s))
-            .map(|s| s as usize)
-            .collect();
-        ghosts.sort_unstable();
-        ghosts.dedup();
-        let regions = mesh.boundary_regions.iter().filter(|r| is_owned(r.0)).copied().collect();
         let syncs: Vec<SyncCopy> =
             mesh.syncs.iter().filter(|c| is_owned(c.dst_oct)).copied().collect();
         let (mut syncs_owned, mut syncs_ghost): (Vec<SyncCopy>, Vec<SyncCopy>) =
@@ -277,17 +274,47 @@ impl Owned {
                 syncs_ghost = syncs;
             }
         }
-        Self {
-            octants: range.clone().collect(),
-            range,
-            interior,
-            boundary,
-            ghosts,
-            regions,
-            syncs_owned,
-            syncs_ghost,
-        }
+        Self { range, interior, boundary, syncs_owned, syncs_ghost }
     }
+}
+
+/// One pool worker's scratch for the fused o2p+RHS, built once per worker
+/// (and again only when the tape's slot count changes — never per
+/// octant, which `Counter::WorkspaceAllocs` asserts).
+struct WorkerScratch {
+    /// Tape slot count the RHS workspace was built for.
+    slots: usize,
+    /// The octant's 24 padded patches, variable-major (24 × 13³ ≈ 412 KB).
+    local: Vec<f64>,
+    rhs: RhsWorkspace,
+    /// Sommerfeld staging: one point's inputs and outputs.
+    inputs: Vec<f64>,
+    point_out: Vec<f64>,
+    prolong: ProlongWorkspace,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Option<WorkerScratch>> = const { RefCell::new(None) };
+}
+
+/// Run `f` on the calling worker's scratch, (re)building it for `slots`
+/// tape slots if needed and counting each build on `probe`.
+fn with_scratch<T>(slots: usize, probe: &Probe, f: impl FnOnce(&mut WorkerScratch) -> T) -> T {
+    SCRATCH.with(|cell| {
+        let mut cached = cell.borrow_mut();
+        if cached.as_ref().is_none_or(|w| w.slots != slots) {
+            probe.add(Counter::WorkspaceAllocs, 1);
+            *cached = Some(WorkerScratch {
+                slots,
+                local: vec![0.0; NUM_VARS * PATCH_VOLUME],
+                rhs: RhsWorkspace::new(slots),
+                inputs: vec![0.0; NUM_INPUTS],
+                point_out: vec![0.0; NUM_VARS],
+                prolong: ProlongWorkspace::new(),
+            });
+        }
+        f(cached.as_mut().expect("scratch just built"))
+    })
 }
 
 impl CpuBackend {
@@ -322,7 +349,8 @@ impl CpuBackend {
             params,
             tape: build_tape(kind, params),
             bufs: std::array::from_fn(|_| Field::zeros(NUM_VARS, n)),
-            patches: PatchField::zeros(NUM_VARS, n),
+            cache: ProlongCache::new(mesh, owned.clone(), NUM_VARS),
+            input: Buf::U,
             masks: boundary_face_masks(mesh),
             owned: Owned::new(mesh, owned),
             pool: ThreadPool::shared(threads),
@@ -342,11 +370,11 @@ impl CpuBackend {
     }
 
     /// One part of a distributed RHS evaluation, under the `o2p` and
-    /// `rhs` phases. [`Sources::Owned`] scatters the owned blocks of
-    /// `input`, pads the physical boundary and evaluates the interior
-    /// octants; [`Sources::Ghost`] scatters the received ghosts and
-    /// evaluates the boundary octants. The two parts write disjoint
-    /// patch points and output blocks, so together they equal
+    /// `rhs` phases. [`Sources::Owned`] prolongs the owned coarse sources
+    /// of `input` and evaluates the interior octants; [`Sources::Ghost`]
+    /// prolongs the received coarse ghosts and evaluates the boundary
+    /// octants. The two parts fill disjoint cache slots and write
+    /// disjoint output blocks, so together they equal
     /// [`Backend::eval_rhs`] bit for bit.
     pub fn eval_rhs_part(&mut self, mesh: &Mesh, input: Buf, output: Buf, part: Sources) {
         assert_ne!(buf_index(input), buf_index(output));
@@ -359,10 +387,10 @@ impl CpuBackend {
         probe.add(Counter::PointsScattered, (NUM_VARS * octs * PATCH_VOLUME) as u64);
         {
             let _span = probe.start(Phase::O2p);
-            self.scatter(mesh, input, part);
+            self.prolong(input, part);
         }
         let _span = probe.start(Phase::Rhs);
-        self.rhs(mesh, output, part);
+        self.rhs(mesh, input, output, part);
     }
 
     /// One part of the interface sync on the solution, under the `p2o`
@@ -376,70 +404,48 @@ impl CpuBackend {
         sync_copies_par(syncs, &mut self.bufs[0], &self.pool);
     }
 
-    /// Scatter `input` from one source set into the owned patches (the
-    /// owned part also fills the physical-boundary padding).
-    fn scatter(&mut self, mesh: &Mesh, input: Buf, part: Sources) {
-        let field = &self.bufs[buf_index(input)];
-        let owned = &self.owned;
-        let sources = match part {
-            Sources::Owned => &owned.octants,
-            Sources::Ghost => &owned.ghosts,
-        };
-        fill_patches_scatter_from(
-            mesh,
-            field,
-            &mut self.patches,
-            sources,
-            owned.range.clone(),
-            &self.pool,
-        );
-        if part == Sources::Owned {
-            fill_boundary_regions_par(&owned.regions, &mut self.patches, NUM_VARS, &self.pool);
-        }
+    fn tape_slots(&self) -> usize {
+        self.tape.as_ref().map(|t| t.n_slots).unwrap_or(1)
     }
 
-    /// The RHS of the interior ([`Sources::Owned`]) or boundary octants
-    /// into `output`, from the current patches.
-    fn rhs(&mut self, mesh: &Mesh, output: Buf, part: Sources) {
+    /// Prolong the coarse sources of one part — owned blocks or ghosts —
+    /// of `input` into the cache, each once.
+    fn prolong(&mut self, input: Buf, part: Sources) {
+        let slots = match part {
+            Sources::Owned => self.cache.inner_slots(),
+            Sources::Ghost => self.cache.outer_slots(),
+        };
+        let (n_slots, probe) = (self.tape_slots(), &self.probe);
+        self.cache.fill(&self.bufs[buf_index(input)], slots, &self.pool, |run| {
+            with_scratch(n_slots, probe, |w| run(&mut w.prolong))
+        });
+    }
+
+    /// The RHS of the interior ([`Sources::Owned`]) or boundary octants of
+    /// `input` into `output`: per octant, gather its patches into the
+    /// worker's local patch, then the fused RHS and Sommerfeld fix.
+    fn rhs(&mut self, mesh: &Mesh, input: Buf, output: Buf, part: Sources) {
         let octs = match part {
             Sources::Owned => &self.owned.interior,
             Sources::Ghost => &self.owned.boundary,
         };
         let n = mesh.n_octants();
-        let patches = &self.patches;
+        let n_slots = self.tape_slots();
+        let (out_field, field) = two_mut(&mut self.bufs, buf_index(output), buf_index(input));
+        let cache = &self.cache;
         let masks = &self.masks;
         let params = self.params;
         let tape = &self.tape;
-        let probe = self.probe.clone();
-        let out = UnsafeSlice::new(self.bufs[buf_index(output)].as_mut_slice());
+        let probe = &self.probe;
+        let out = UnsafeSlice::new(out_field.as_mut_slice());
         // One task per octant, as in the GPU backend's `grid1(n)` RHS
-        // launch. Pool workers persist across backends, so the cached
-        // workspace (and the Sommerfeld staging buffers riding with it)
-        // is rebuilt whenever the tape slot count changes — never per
-        // octant, which `Counter::WorkspaceAllocs` asserts.
+        // launch.
         let per_oct: Vec<(u64, u64)> = self.pool.map(octs.len(), |i| {
-            type Cached = (usize, RhsWorkspace, Vec<f64>, Vec<f64>);
-            thread_local! {
-                static WS: std::cell::RefCell<Option<Cached>> =
-                    const { std::cell::RefCell::new(None) };
-            }
             let e = octs[i];
-            let h = mesh.octants[e].h;
-            let patch_refs: [&[f64]; NUM_VARS] = std::array::from_fn(|v| patches.patch(v, e));
-            WS.with(|cell| {
-                let mut borrow = cell.borrow_mut();
-                let slots = tape.as_ref().map(|t| t.n_slots).unwrap_or(1);
-                if borrow.as_ref().map(|e| e.0 != slots).unwrap_or(true) {
-                    probe.add(Counter::WorkspaceAllocs, 1);
-                    *borrow = Some((
-                        slots,
-                        RhsWorkspace::new(slots),
-                        vec![0.0; NUM_INPUTS],
-                        vec![0.0; NUM_VARS],
-                    ));
-                }
-                let (_, ws, inputs_buf, point_out) =
-                    borrow.as_mut().expect("workspace just initialized");
+            with_scratch(n_slots, probe, |w| {
+                gather_patches(mesh, field, cache, e, &mut w.local);
+                let patch_refs: [&[f64]; NUM_VARS] =
+                    std::array::from_fn(|v| &w.local[v * PATCH_VOLUME..(v + 1) * PATCH_VOLUME]);
                 let mode = match tape {
                     Some(t) => RhsMode::Tape(t),
                     None => RhsMode::Pointwise,
@@ -449,15 +455,17 @@ impl CpuBackend {
                     // blocks for all variables.
                     unsafe { out.slice_mut((v * n + e) * BLOCK_VOLUME, BLOCK_VOLUME) }
                 });
-                let (df, af) = bssn_rhs_patch(&patch_refs, h, &params, &mode, ws, &mut out_blocks);
+                let h = mesh.octants[e].h;
+                let (df, af) =
+                    bssn_rhs_patch(&patch_refs, h, &params, &mode, &mut w.rhs, &mut out_blocks);
                 sommerfeld_fix(
                     mesh,
                     e,
                     masks[e],
                     &patch_refs,
-                    ws,
-                    inputs_buf,
-                    point_out,
+                    &w.rhs,
+                    &mut w.inputs,
+                    &mut w.point_out,
                     &mut out_blocks,
                 );
                 (df, af)
@@ -501,14 +509,16 @@ impl Backend for CpuBackend {
         self.bufs[0].clone()
     }
 
-    fn o2p_raw(&mut self, mesh: &Mesh, input: Buf) {
-        self.scatter(mesh, input, Sources::Owned);
-        self.scatter(mesh, input, Sources::Ghost);
+    fn o2p_raw(&mut self, _mesh: &Mesh, input: Buf) {
+        self.input = input;
+        self.prolong(input, Sources::Owned);
+        self.prolong(input, Sources::Ghost);
     }
 
     fn rhs_raw(&mut self, mesh: &Mesh, output: Buf) {
-        self.rhs(mesh, output, Sources::Owned);
-        self.rhs(mesh, output, Sources::Ghost);
+        let input = self.input;
+        self.rhs(mesh, input, output, Sources::Owned);
+        self.rhs(mesh, input, output, Sources::Ghost);
     }
 
     fn axpy_raw(&mut self, y: Buf, a: f64, x: Buf) {
@@ -641,19 +651,11 @@ impl GpuBackend {
             // Safety: each (region, var) block writes its own padding
             // region of one patch.
             let patch = unsafe { patches2.slice_mut(off, PATCH_VOLUME) };
-            let p = PatchLayout::padded();
             let mut cnt = 0usize;
-            for pz in gw_mesh::scatter::region_range(delta[2]) {
-                for py in gw_mesh::scatter::region_range(delta[1]) {
-                    for px in gw_mesh::scatter::region_range(delta[0]) {
-                        let cx = px.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                        let cy = py.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                        let cz = pz.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                        patch[p.idx(px, py, pz)] = patch[p.idx(cx, cy, cz)];
-                        cnt += 1;
-                    }
-                }
-            }
+            for_each_clamp_point(delta, |dst, src| {
+                patch[dst] = patch[src];
+                cnt += 1;
+            });
             ctx.global_load(cnt);
             ctx.global_store(cnt);
         });
@@ -862,7 +864,10 @@ impl Backend for GpuBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gw_mesh::scatter::{fill_boundary_padding_par, fill_patches_scatter_par};
+    use gw_mesh::PatchField;
     use gw_octree::{balance_octree, complete_octree, BalanceMode, Domain, MortonKey};
+    use gw_stencil::patch::PatchLayout;
 
     fn small_mesh() -> Mesh {
         let mut leaves = vec![];
@@ -918,6 +923,93 @@ mod tests {
             for (a, b) in ck.as_slice().iter().zip(gk.as_slice().iter()) {
                 assert_eq!(a, b, "CPU and GPU RHS must agree bitwise");
             }
+        }
+    }
+
+    /// Levels 2–4 on the physical boundary: a uniform level-2 mesh with
+    /// its `(+, +, −)` domain corner refined to level 4, mid-curve.
+    fn multi_level_mesh() -> Mesh {
+        let corner = MortonKey::root().children()[3].children()[3].children()[3];
+        let level2 = MortonKey::root().children().into_iter().flat_map(|k| k.children());
+        let mut seeds: Vec<MortonKey> = level2.filter(|k| !k.is_ancestor_of(&corner)).collect();
+        seeds.extend(corner.children());
+        let t = balance_octree(&complete_octree(seeds), BalanceMode::Full);
+        Mesh::build(Domain::centered_cube(8.0), &t)
+    }
+
+    /// The pipeline the fused CPU path replaced: the whole-mesh scatter
+    /// and boundary fill into a `PatchField`, then per octant the RHS and
+    /// the Sommerfeld fix.
+    fn scatter_pipeline_rhs(mesh: &Mesh, u: &Field, params: &BssnParams) -> Field {
+        let pool = ThreadPool::new(1);
+        let n = mesh.n_octants();
+        let mut patches = PatchField::zeros(NUM_VARS, n);
+        fill_patches_scatter_par(mesh, u, &mut patches, &pool);
+        fill_boundary_padding_par(mesh, &mut patches, NUM_VARS, &pool);
+        let masks = boundary_face_masks(mesh);
+        let mut ws = RhsWorkspace::new(1);
+        let (mut inputs, mut point_out) = (vec![0.0; NUM_INPUTS], vec![0.0; NUM_VARS]);
+        let mut k = Field::zeros(NUM_VARS, n);
+        let mut blocks = vec![vec![0.0; BLOCK_VOLUME]; NUM_VARS];
+        for (e, &mask) in masks.iter().enumerate() {
+            let refs: [&[f64]; NUM_VARS] = std::array::from_fn(|v| patches.patch(v, e));
+            let mut out: Vec<&mut [f64]> = blocks.iter_mut().map(|b| b.as_mut_slice()).collect();
+            let h = mesh.octants[e].h;
+            bssn_rhs_patch(&refs, h, params, &RhsMode::Pointwise, &mut ws, &mut out);
+            sommerfeld_fix(mesh, e, mask, &refs, &ws, &mut inputs, &mut point_out, &mut out);
+            for (v, b) in blocks.iter().enumerate() {
+                k.block_mut(v, e).copy_from_slice(b);
+            }
+        }
+        k
+    }
+
+    fn block_bits(f: &Field, e: usize) -> Vec<u64> {
+        (0..NUM_VARS).flat_map(|v| f.block(v, e).iter().map(|x| x.to_bits())).collect()
+    }
+
+    /// The fused gather→RHS equals the scatter pipeline bit for bit, on a
+    /// 3-level mesh with physical-boundary octants of every level, at any
+    /// thread count and split across a rank's two stage parts.
+    #[test]
+    fn fused_rhs_matches_scatter_pipeline_bitwise() {
+        let mesh = multi_level_mesh();
+        let levels: std::collections::HashSet<u8> = mesh.octants.iter().map(|o| o.level).collect();
+        assert!(levels.len() >= 3);
+        assert!(boundary_face_masks(&mesh).iter().any(|&m| m != 0));
+        let u = wavey_state(&mesh);
+        let params = BssnParams::default();
+        let want = scatter_pipeline_rhs(&mesh, &u, &params);
+        let n = mesh.n_octants();
+        for threads in [1, 2, 8] {
+            let mut cpu = CpuBackend::with_threads(&mesh, params, RhsKind::Pointwise, threads);
+            cpu.upload(&u);
+            cpu.eval_rhs(&mesh, Buf::U, Buf::K);
+            for e in 0..n {
+                let got = block_bits(cpu.field(Buf::K), e);
+                assert_eq!(got, block_bits(&want, e), "octant {e} at {threads} threads");
+            }
+        }
+        // A rank: the owned part runs while its ghost blocks are stale,
+        // the ghost part after they land.
+        let owned = n / 3..2 * n / 3;
+        let mut rank = CpuBackend::for_rank(&mesh, params, 2, owned.clone());
+        assert!(!rank.owned.interior.is_empty() && !rank.owned.boundary.is_empty());
+        assert!(!rank.cache.outer_slots().is_empty(), "the rank prolongs ghosts");
+        let mut stale = u.clone();
+        for e in (0..n).filter(|e| !owned.contains(e)) {
+            (0..NUM_VARS).for_each(|v| stale.block_mut(v, e).fill(f64::NAN));
+        }
+        rank.upload(&stale);
+        rank.eval_rhs_part(&mesh, Buf::U, Buf::K, Sources::Owned);
+        for e in (0..n).filter(|e| !owned.contains(e)) {
+            for v in 0..NUM_VARS {
+                rank.field_mut(Buf::U).block_mut(v, e).copy_from_slice(u.block(v, e));
+            }
+        }
+        rank.eval_rhs_part(&mesh, Buf::U, Buf::K, Sources::Ghost);
+        for e in owned {
+            assert_eq!(block_bits(rank.field(Buf::K), e), block_bits(&want, e), "rank octant {e}");
         }
     }
 

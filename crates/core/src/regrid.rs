@@ -8,7 +8,7 @@
 
 use gw_mesh::{Field, Mesh};
 use gw_octree::MortonKey;
-use gw_stencil::interp::{ProlongWorkspace, Prolongation, FINE_SIDE};
+use gw_stencil::interp::{ProlongWorkspace, Prolongation};
 use gw_stencil::patch::{PatchLayout, BLOCK_VOLUME, POINTS_PER_SIDE};
 
 /// State transfer failed: the new mesh asks for data the old mesh does
@@ -88,7 +88,7 @@ pub fn transfer_state(
                             let child = nk.ancestor_at(cur_key.level() + 1);
                             let idx = child.child_index();
                             let mut next = vec![0.0; BLOCK_VOLUME];
-                            prolong_to_child_ws(&prolong, &mut ws, &cur, idx, &mut next);
+                            prolong.prolong_to_child_ws(&cur, idx, &mut next, &mut ws);
                             cur = next;
                             cur_key = child;
                         }
@@ -105,25 +105,6 @@ pub fn transfer_state(
         }
     }
     Ok(out)
-}
-
-fn prolong_to_child_ws(
-    prolong: &Prolongation,
-    ws: &mut ProlongWorkspace,
-    coarse: &[f64],
-    child: usize,
-    out: &mut [f64],
-) {
-    let mut fine = vec![0.0f64; FINE_SIDE * FINE_SIDE * FINE_SIDE];
-    prolong.prolong3d_ws(coarse, &mut fine, ws);
-    let r = POINTS_PER_SIDE;
-    let ox = (child & 1) * (r - 1);
-    let oy = ((child >> 1) & 1) * (r - 1);
-    let oz = ((child >> 2) & 1) * (r - 1);
-    let l = PatchLayout::octant();
-    for (i, j, k) in l.iter() {
-        out[l.idx(i, j, k)] = fine[((k + oz) * FINE_SIDE + (j + oy)) * FINE_SIDE + (i + ox)];
-    }
 }
 
 /// Fill a new (coarser) octant by sampling coincident points of old

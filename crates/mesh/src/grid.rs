@@ -1,7 +1,7 @@
 //! The computational mesh: octant geometry plus precomputed kernel maps.
 
 use gw_octree::{Domain, MortonKey, NeighborDirection, NeighborLevel, NeighborQuery};
-use gw_stencil::patch::{PATCH_VOLUME, POINTS_PER_SIDE};
+use gw_stencil::patch::{BLOCK_VOLUME, PATCH_VOLUME, POINTS_PER_SIDE};
 
 /// Structural problems with the leaf set handed to [`Mesh::try_build`].
 ///
@@ -119,7 +119,8 @@ pub struct Mesh {
     pub scatter: Vec<ScatterOp>,
     /// `scatter_offsets[e]..scatter_offsets[e+1]` = ops with `src == e`.
     pub scatter_offsets: Vec<usize>,
-    /// Padding regions on the physical domain boundary: `(oct, delta)`.
+    /// Padding regions on the physical domain boundary: `(oct, delta)`,
+    /// sorted by octant.
     pub boundary_regions: Vec<(u32, [i8; 3])>,
     /// Fine→coarse point synchronization copies (deduplicated).
     pub syncs: Vec<SyncCopy>,
@@ -338,7 +339,9 @@ impl Mesh {
         };
         // Internal invariant, asserted in release builds too: it is what
         // makes the octant-parallel scatter race-free (see DESIGN.md).
-        if let Err(msg) = check_write_partition(n, &mesh.gather, &mesh.gather_offsets) {
+        if let Err(msg) =
+            check_write_partition(n, &mesh.gather, &mesh.gather_offsets, &mesh.boundary_regions)
+        {
             panic!("write-partition invariant violated: {msg}");
         }
         Ok(mesh)
@@ -379,6 +382,14 @@ impl Mesh {
         &self.gather[self.gather_offsets[b]..self.gather_offsets[b + 1]]
     }
 
+    /// Physical-boundary padding regions of octant `b`.
+    pub fn boundary_of(&self, b: usize) -> &[(u32, [i8; 3])] {
+        let r = &self.boundary_regions;
+        let lo = r.partition_point(|&(o, _)| (o as usize) < b);
+        let hi = lo + r[lo..].partition_point(|&(o, _)| o as usize == b);
+        &r[lo..hi]
+    }
+
     /// A simple adaptivity measure: fraction of scatter ops that need
     /// interpolation or injection (0 on a uniform grid). Higher values ↔
     /// the `m_1`-like highly adaptive grids of Table III.
@@ -405,38 +416,66 @@ impl Mesh {
 }
 
 /// Verify the scatter write partition: within each destination patch,
-/// every padding point has **at most one** writer among the incoming ops.
-/// Interiors are written only by the owning octant, and the padding
-/// targets of distinct sources must be disjoint — this is exactly the
-/// property that lets [`crate::scatter::fill_patches_scatter_par`] run
-/// one task per source octant with no write synchronization. Enforced as
-/// a release-mode assertion at mesh construction.
+/// every padding point has **exactly one** writer among the incoming ops
+/// and the physical-boundary regions. Interiors are written only by the
+/// owning octant, and the padding targets of distinct sources must be
+/// disjoint — the property that lets
+/// [`crate::scatter::fill_patches_scatter_par`] run one task per source
+/// octant with no write synchronization — and complete, so a patch
+/// assembled in reused storage ([`crate::gather::gather_patches`]) holds
+/// no stale value. The ops' rows are expanded into points, so what is
+/// checked is the index stream every kernel executes. Enforced as a
+/// release-mode assertion at mesh construction.
 fn check_write_partition(
     n_oct: usize,
     gather: &[ScatterOp],
     gather_offsets: &[usize],
+    boundary_regions: &[(u32, [i8; 3])],
 ) -> Result<(), String> {
+    // Writer marker for boundary regions.
+    const BOUNDARY: u32 = u32::MAX - 1;
     // Epoch-marked writer table, reused across destination octants.
     let mut writer: Vec<u32> = vec![u32::MAX; PATCH_VOLUME];
     let mut epoch_src: Vec<u32> = vec![u32::MAX; PATCH_VOLUME];
+    let mut regions = boundary_regions.iter().peekable();
     for b in 0..n_oct {
         let epoch = b as u32;
-        for op in &gather[gather_offsets[b]..gather_offsets[b + 1]] {
-            let mut clash: Option<(usize, u32)> = None;
-            crate::scatter::for_each_scatter_point(op, |dst_idx, _src_idx| {
-                if writer[dst_idx] == epoch && epoch_src[dst_idx] != op.src {
-                    clash.get_or_insert((dst_idx, epoch_src[dst_idx]));
-                }
-                writer[dst_idx] = epoch;
-                epoch_src[dst_idx] = op.src;
-            });
-            if let Some((idx, prev)) = clash {
-                return Err(format!(
-                    "patch {b} point {idx} written by both octant {prev} and octant {} \
-                     ({:?} from delta {:?})",
-                    op.src, op.kind, op.delta
-                ));
+        let mut written = 0usize;
+        let mut clash: Option<(usize, u32, u32)> = None;
+        let mut mark = |idx: usize, src: u32| {
+            if writer[idx] == epoch && epoch_src[idx] != src {
+                clash.get_or_insert((idx, epoch_src[idx], src));
             }
+            if writer[idx] != epoch {
+                written += 1;
+            }
+            writer[idx] = epoch;
+            epoch_src[idx] = src;
+        };
+        for op in &gather[gather_offsets[b]..gather_offsets[b + 1]] {
+            crate::scatter::for_each_scatter_row(op, |dst, _src, _stride, len| {
+                (dst..dst + len).for_each(|idx| mark(idx, op.src));
+            });
+        }
+        while let Some(&(_, delta)) = regions.next_if(|r| r.0 as usize == b) {
+            crate::scatter::for_each_clamp_point(delta, |idx, _src| mark(idx, BOUNDARY));
+        }
+        if let Some((idx, prev, src)) = clash {
+            let name = |s: u32| match s {
+                BOUNDARY => "the physical boundary".to_string(),
+                s => format!("octant {s}"),
+            };
+            return Err(format!(
+                "patch {b} point {idx} written by both {} and {}",
+                name(prev),
+                name(src)
+            ));
+        }
+        if written != PATCH_VOLUME - BLOCK_VOLUME {
+            return Err(format!(
+                "patch {b} has {written} of {} padding points written",
+                PATCH_VOLUME - BLOCK_VOLUME
+            ));
         }
     }
     Ok(())
@@ -606,7 +645,27 @@ mod tests {
     #[test]
     fn write_partition_holds_on_adaptive_mesh() {
         let m = adaptive_mesh();
-        assert!(check_write_partition(m.n_octants(), &m.gather, &m.gather_offsets).is_ok());
+        assert!(check_write_partition(
+            m.n_octants(),
+            &m.gather,
+            &m.gather_offsets,
+            &m.boundary_regions
+        )
+        .is_ok());
+    }
+
+    #[test]
+    fn write_partition_checker_catches_a_gap() {
+        // Drop one incoming op: its padding points lose their writer.
+        let m = uniform_mesh(1);
+        let mut gather = m.gather.clone();
+        gather.remove(0);
+        let mut offsets = m.gather_offsets.clone();
+        for o in offsets.iter_mut().skip(1) {
+            *o -= 1;
+        }
+        let err = check_write_partition(m.n_octants(), &gather, &offsets, &m.boundary_regions);
+        assert!(err.unwrap_err().contains("padding points written"));
     }
 
     #[test]
@@ -622,6 +681,8 @@ mod tests {
         for o in offsets.iter_mut().skip(1) {
             *o += 1;
         }
-        assert!(check_write_partition(m.n_octants(), &gather, &offsets).is_err());
+        assert!(
+            check_write_partition(m.n_octants(), &gather, &offsets, &m.boundary_regions).is_err()
+        );
     }
 }

@@ -12,9 +12,11 @@
 //!   scatters its data into neighbor patches with direct copy / injection /
 //!   interpolation per the 2:1 case analysis (Algorithm 2). Plus
 //!   patch-to-octant (pure copy-back) and interface sync.
-//! * [`gather`] — *loop-over-patches* octant-to-patch (the Dendro-GR
-//!   baseline the paper improves on, Fig. 7): each patch pulls from its
-//!   neighbors, re-interpolating per target (redundant interpolations).
+//! * [`gather`] — *loop-over-patches* octant-to-patch: the Dendro-GR
+//!   baseline the paper improves on (Fig. 7), where each patch pulls from
+//!   its neighbors and re-interpolates per target, and the CPU backend's
+//!   fused per-octant gather, which reads each coarse source's single
+//!   prolongation from a [`gather::ProlongCache`].
 //!
 //! ## Storage convention (substitution note)
 //!
@@ -35,9 +37,10 @@ pub mod o2n;
 pub mod scatter;
 
 pub use field::{Field, PatchField};
+pub use gather::{gather_patches, ProlongCache};
 pub use grid::{Mesh, MeshError, ScatterKind, ScatterOp};
 pub use o2n::O2NMap;
 pub use scatter::{
-    fill_patches_scatter, fill_patches_scatter_par, patches_to_octants, patches_to_octants_par,
-    sync_interfaces, sync_interfaces_par,
+    fill_patches_scatter, fill_patches_scatter_par, patches_to_octants, sync_interfaces,
+    sync_interfaces_par,
 };

@@ -1,5 +1,6 @@
 //! Loop-over-octants octant-to-patch (Algorithm 2), patch-to-octant, and
-//! interface synchronization — the CPU reference implementations.
+//! interface synchronization — the CPU reference implementations — plus
+//! the one index walk every octant→patch kernel executes.
 //!
 //! The GPU (simulated-device) versions in `gw-core` run the same index
 //! arithmetic inside kernel blocks; these host versions are the
@@ -24,78 +25,159 @@ pub fn region_range(delta: i8) -> std::ops::Range<usize> {
     }
 }
 
-/// Enumerate the `(dst_idx, src_idx)` point pairs of one scatter op.
-/// `dst_idx` indexes the destination's padded patch; `src_idx` indexes the
-/// source's `r^3` block for `Same`/`Inject` and the prolonged `(2r−1)^3`
-/// block for `Prolong`. This single index walk backs both the execution
-/// kernel ([`apply_scatter_op`]) and the build-time write-partition check
-/// in `grid.rs`, so what is validated is exactly what is executed.
+/// One axis of a scatter op: the `len` consecutive patch indices from
+/// `p0` read the source indices `s0, s0 + step, …`.
+#[derive(Clone, Copy, Debug)]
+struct AxisRun {
+    p0: usize,
+    s0: usize,
+    step: usize,
+    len: usize,
+}
+
+/// The source index along axis `ax` is an increasing affine function of
+/// the patch index, so the patch indices with a valid source form one
+/// contiguous run:
+/// * `Same`: `s = p − 3 − 6δ` (source at direction δ ⇒ `src_origin =
+///   dst_origin + 6δh`), always in `0..r`;
+/// * `Inject`: `s = 2(p − 3) − off`, valid for `0 ≤ s < 6`, and `s == 6`
+///   only on the plane this op owns (grid-construction-time ownership,
+///   see `ScatterOp::inc6`);
+/// * `Prolong`: `s = off + p − 3` into the prolonged `(2r−1)^3` block.
+fn axis_run(op: &ScatterOp, ax: usize) -> AxisRun {
+    let d = op.delta[ax] as i32;
+    let off = op.off[ax];
+    let (step, at0, last) = match op.kind {
+        ScatterKind::Same => (1, -3 - 6 * d, POINTS_PER_SIDE as i32 - 1),
+        ScatterKind::Inject => (2, -6 - off, if op.inc6[ax] { 6 } else { 5 }),
+        ScatterKind::Prolong => (1, off - 3, FINE_SIDE as i32 - 1),
+    };
+    let src = |p: usize| at0 + step * p as i32;
+    let mut valid = region_range(op.delta[ax]).filter(|&p| (0..=last).contains(&src(p)));
+    match valid.next() {
+        Some(p0) => {
+            AxisRun { p0, s0: src(p0) as usize, step: step as usize, len: 1 + valid.count() }
+        }
+        None => AxisRun { p0: 0, s0: 0, step: step as usize, len: 0 },
+    }
+}
+
+/// A box of prolonged (fine) indices `lo..hi` per axis, stored compactly
+/// x-fastest — the part of a source's `(2r−1)^3` prolongation its
+/// `Prolong` ops read.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct FineBox {
+    pub(crate) lo: [usize; 3],
+    pub(crate) hi: [usize; 3],
+}
+
+impl FineBox {
+    pub(crate) fn dims(&self) -> [usize; 3] {
+        std::array::from_fn(|a| self.hi[a] - self.lo[a])
+    }
+
+    pub(crate) fn volume(&self) -> usize {
+        self.dims().iter().product()
+    }
+
+    /// The fine box a `Prolong` op reads (`None` for other kinds or an op
+    /// that writes nothing).
+    pub(crate) fn of_op(op: &ScatterOp) -> Option<FineBox> {
+        if op.kind != ScatterKind::Prolong {
+            return None;
+        }
+        let runs: [AxisRun; 3] = std::array::from_fn(|a| axis_run(op, a));
+        runs.iter()
+            .all(|r| r.len > 0)
+            .then(|| FineBox { lo: runs.map(|r| r.s0), hi: runs.map(|r| r.s0 + r.len) })
+    }
+
+    /// The bounding box of two boxes.
+    pub(crate) fn union(self, other: FineBox) -> FineBox {
+        FineBox {
+            lo: std::array::from_fn(|a| self.lo[a].min(other.lo[a])),
+            hi: std::array::from_fn(|a| self.hi[a].max(other.hi[a])),
+        }
+    }
+
+    /// The union box of the `Prolong` ops among `ops` — all a source
+    /// prolongs, once, to serve every one of them.
+    pub(crate) fn union_of<'a>(ops: impl IntoIterator<Item = &'a ScatterOp>) -> Option<FineBox> {
+        ops.into_iter().filter_map(FineBox::of_op).reduce(FineBox::union)
+    }
+}
+
+/// Enumerate the rows of one scatter op as `(dst, src, stride, len)`: the
+/// `len` padded-patch points `dst..dst + len` (x-contiguous) take the
+/// source values at `src, src + stride, …`. `src` indexes the source's
+/// `r^3` block for `Same`/`Inject` (stride 1 and 2) and the prolonged
+/// `(2r−1)^3` block for `Prolong`. Rows come in z-then-y order.
+///
+/// This single index walk backs every octant→patch kernel — the host
+/// scatter, the gpu-sim kernel ([`apply_scatter_op`]) and the CPU
+/// backend's gather ([`crate::gather::gather_patches`]) — and the
+/// build-time write-partition check in `grid.rs` expands it into points,
+/// so what is validated is exactly what is executed.
 #[inline]
-pub fn for_each_scatter_point(op: &ScatterOp, mut visit: impl FnMut(usize, usize)) {
+pub fn for_each_scatter_row(op: &ScatterOp, visit: impl FnMut(usize, usize, usize, usize)) {
+    let side = if op.kind == ScatterKind::Prolong { FINE_SIDE } else { POINTS_PER_SIDE };
+    for_each_row_in(op, [0; 3], [side; 3], visit)
+}
+
+/// [`for_each_scatter_row`] with `src` indexing a source array that holds
+/// the box at `origin` with extents `dims` (x fastest) — a [`FineBox`] of
+/// the prolonged block, or the whole block.
+#[inline]
+pub(crate) fn for_each_row_in(
+    op: &ScatterOp,
+    origin: [usize; 3],
+    dims: [usize; 3],
+    mut visit: impl FnMut(usize, usize, usize, usize),
+) {
+    let [x, y, z] = [0, 1, 2].map(|a| axis_run(op, a));
+    if x.len == 0 {
+        return;
+    }
     let p = PatchLayout::padded();
-    let o = PatchLayout::octant();
-    match op.kind {
-        ScatterKind::Same => {
-            // i_src = (p − 3) + 6δ ... derived from origins: src at
-            // direction δ from dst ⇒ src_origin = dst_origin + 6δh.
-            for pz in region_range(op.delta[2]) {
-                let ez = pz as i32 - 3 - 6 * op.delta[2] as i32;
-                debug_assert!((0..7).contains(&ez));
-                for py in region_range(op.delta[1]) {
-                    let ey = py as i32 - 3 - 6 * op.delta[1] as i32;
-                    for px in region_range(op.delta[0]) {
-                        let ex = px as i32 - 3 - 6 * op.delta[0] as i32;
-                        visit(p.idx(px, py, pz), o.idx(ex as usize, ey as usize, ez as usize));
-                    }
-                }
-            }
+    for tz in 0..z.len {
+        let sz = z.s0 + tz * z.step - origin[2];
+        for ty in 0..y.len {
+            let sy = y.s0 + ty * y.step - origin[1];
+            visit(
+                p.idx(x.p0, y.p0 + ty, z.p0 + tz),
+                (sz * dims[1] + sy) * dims[0] + x.s0 - origin[0],
+                x.step,
+                x.len,
+            );
         }
-        ScatterKind::Inject => {
-            // i_src = 2(p − 3) − off; the i_src == 6 boundary plane is
-            // written only by the op that owns it (grid-construction-time
-            // ownership, see `ScatterOp::inc6`).
-            let valid = |i: i32, ax: usize| i >= 0 && (i < 6 || (i == 6 && op.inc6[ax]));
-            for pz in region_range(op.delta[2]) {
-                let ez = 2 * (pz as i32 - 3) - op.off[2];
-                if !valid(ez, 2) {
-                    continue;
-                }
-                for py in region_range(op.delta[1]) {
-                    let ey = 2 * (py as i32 - 3) - op.off[1];
-                    if !valid(ey, 1) {
-                        continue;
-                    }
-                    for px in region_range(op.delta[0]) {
-                        let ex = 2 * (px as i32 - 3) - op.off[0];
-                        if !valid(ex, 0) {
-                            continue;
-                        }
-                        visit(p.idx(px, py, pz), o.idx(ex as usize, ey as usize, ez as usize));
-                    }
-                }
-            }
+    }
+}
+
+/// Copy one scatter row: `dst[t] = src[at + t·stride]`.
+#[inline(always)]
+pub(crate) fn copy_row(dst: &mut [f64], src: &[f64], at: usize, stride: usize) {
+    if stride == 1 {
+        dst.copy_from_slice(&src[at..at + dst.len()]);
+    } else {
+        for (d, &s) in dst.iter_mut().zip(src[at..].iter().step_by(stride)) {
+            *d = s;
         }
-        ScatterKind::Prolong => {
-            // j = off + (p − 3) into the prolonged (2r−1)^3 block.
-            let f = FINE_SIDE as i32;
-            for pz in region_range(op.delta[2]) {
-                let jz = op.off[2] + pz as i32 - 3;
-                if !(0..f).contains(&jz) {
-                    continue;
-                }
-                for py in region_range(op.delta[1]) {
-                    let jy = op.off[1] + py as i32 - 3;
-                    if !(0..f).contains(&jy) {
-                        continue;
-                    }
-                    for px in region_range(op.delta[0]) {
-                        let jx = op.off[0] + px as i32 - 3;
-                        if !(0..f).contains(&jx) {
-                            continue;
-                        }
-                        visit(p.idx(px, py, pz), ((jz * f + jy) * f + jx) as usize);
-                    }
-                }
+    }
+}
+
+/// Enumerate the `(dst, src)` point pairs of a physical-boundary padding
+/// region `delta`: each point takes the nearest interior point (constant
+/// extrapolation; the physical boundary is in the wave zone where fields
+/// are smooth and the Sommerfeld RHS dominates). Sources are always
+/// interior points, which no boundary region writes.
+#[inline]
+pub fn for_each_clamp_point(delta: [i8; 3], mut visit: impl FnMut(usize, usize)) {
+    let p = PatchLayout::padded();
+    let clamp = |t: usize| t.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
+    for pz in region_range(delta[2]) {
+        for py in region_range(delta[1]) {
+            for px in region_range(delta[0]) {
+                visit(p.idx(px, py, pz), p.idx(clamp(px), clamp(py), clamp(pz)));
             }
         }
     }
@@ -113,40 +195,61 @@ pub fn apply_scatter_op(
 ) -> (u64, u64) {
     let src = if op.kind == ScatterKind::Prolong { fine13 } else { src_block };
     let mut written = 0u64;
-    for_each_scatter_point(op, |dst_idx, src_idx| {
-        dst_patch[dst_idx] = src[src_idx];
-        written += 1;
+    for_each_scatter_row(op, |dst, at, stride, len| {
+        copy_row(&mut dst_patch[dst..dst + len], src, at, stride);
+        written += len as u64;
     });
     (written, 0)
 }
 
+/// Walk one source block's ops for one variable, handing each row to
+/// `write_row(op, dst, array, at, stride, len)` with the array it reads:
+/// `src` for `Same`/`Inject`, `fine` (the source's prolonged `fbox`) for
+/// `Prolong`.
+fn scatter_source(
+    ops: &[ScatterOp],
+    src: &[f64],
+    fine: &[f64],
+    fbox: Option<FineBox>,
+    mut write_row: impl FnMut(&ScatterOp, usize, &[f64], usize, usize, usize),
+) {
+    for op in ops {
+        let (arr, origin, dims) = match (op.kind, fbox) {
+            (ScatterKind::Prolong, Some(b)) => (fine, b.lo, b.dims()),
+            _ => (src, [0; 3], [POINTS_PER_SIDE; 3]),
+        };
+        for_each_row_in(op, origin, dims, |dst, at, stride, len| {
+            write_row(op, dst, arr, at, stride, len)
+        });
+    }
+}
+
 /// Octant-to-patch via **loop-over-octants** (the paper's approach):
 /// each octant copies its interior into its own patch, prolongs itself
-/// *once* if any finer... (coarser-destination) target exists, and
-/// scatters to all neighbor patches. Single-threaded host version.
+/// *once* — over the union box its `Prolong` targets read — and scatters
+/// to all neighbor patches. Single-threaded host version.
 ///
 /// Returns total interpolation flops (for AI accounting).
 pub fn fill_patches_scatter(mesh: &Mesh, field: &Field, patches: &mut PatchField) -> u64 {
     let prolong = Prolongation::new();
     let mut ws = ProlongWorkspace::new();
-    let mut fine13 = vec![0.0f64; FINE_SIDE * FINE_SIDE * FINE_SIDE];
+    let mut fine = vec![0.0f64; FINE_SIDE.pow(3)];
     let mut flops = 0u64;
-    let n = mesh.n_octants();
     for var in 0..field.dof {
-        for e in 0..n {
+        for e in 0..mesh.n_octants() {
             let src = field.block(var, e);
-            // Own interior.
             gw_stencil::patch::octant_to_patch_interior(src, patches.patch_mut(var, e));
             let ops = mesh.scatter_of(e);
             // One prolongation shared by all Prolong targets (the key
             // saving versus loop-over-patches).
-            if ops.iter().any(|op| op.kind == ScatterKind::Prolong) {
-                flops += prolong.prolong3d_ws(src, &mut fine13, &mut ws);
+            let fbox = FineBox::union_of(ops);
+            if let Some(b) = fbox {
+                flops += prolong.prolong_box(src, b.lo, b.hi, &mut fine[..b.volume()], &mut ws);
             }
-            for op in ops {
-                let dst = patches.patch_mut(var, op.dst as usize);
-                apply_scatter_op(op, src, &fine13, dst);
-            }
+            scatter_source(ops, src, &fine, fbox, |op, dst, arr, at, stride, len| {
+                let patch = patches.patch_mut(var, op.dst as usize);
+                copy_row(&mut patch[dst..dst + len], arr, at, stride);
+            });
         }
     }
     flops
@@ -166,26 +269,6 @@ pub fn fill_patches_scatter_par(
     patches: &mut PatchField,
     pool: &ThreadPool,
 ) -> u64 {
-    let n = mesh.n_octants();
-    let all: Vec<usize> = (0..n).collect();
-    fill_patches_scatter_from(mesh, field, patches, &all, 0..n, pool)
-}
-
-/// [`fill_patches_scatter_par`] from the source octants `sources` into
-/// the destination patches `dst` only: a source inside `dst` also copies
-/// its own interior, ops aimed outside `dst` are skipped, and a source
-/// prolongs only when one of its kept ops needs it. The write partition
-/// makes scatters from disjoint source sets commute, so a distributed
-/// rank can fill its patches from its owned sources first and from the
-/// received ghosts later and get the same bits as one whole-mesh call.
-pub fn fill_patches_scatter_from(
-    mesh: &Mesh,
-    field: &Field,
-    patches: &mut PatchField,
-    sources: &[usize],
-    dst: std::ops::Range<usize>,
-    pool: &ThreadPool,
-) -> u64 {
     thread_local! {
         static SCRATCH: RefCell<Option<(ProlongWorkspace, Vec<f64>)>> =
             const { RefCell::new(None) };
@@ -194,47 +277,36 @@ pub fn fill_patches_scatter_from(
     let dof = field.dof;
     let n_oct = patches.n_oct;
     let out = UnsafeSlice::new(patches.as_mut_slice());
-    let flops: Vec<u64> = pool.map(sources.len(), |i| {
-        let e = sources[i];
+    let flops: Vec<u64> = pool.map(mesh.n_octants(), |e| {
         SCRATCH.with(|cell| {
             let mut guard = cell.borrow_mut();
-            let (ws, fine13) = guard.get_or_insert_with(|| {
-                (ProlongWorkspace::new(), vec![0.0f64; FINE_SIDE * FINE_SIDE * FINE_SIDE])
-            });
-            let o = PatchLayout::octant();
+            let (ws, fine) = guard
+                .get_or_insert_with(|| (ProlongWorkspace::new(), vec![0.0f64; FINE_SIDE.pow(3)]));
             let p = PatchLayout::padded();
-            let kept = |op: &&ScatterOp| dst.contains(&(op.dst as usize));
             let ops = mesh.scatter_of(e);
-            let needs_prolong = ops.iter().filter(kept).any(|op| op.kind == ScatterKind::Prolong);
+            let fbox = FineBox::union_of(ops);
             let mut fl = 0u64;
             for var in 0..dof {
                 let src = field.block(var, e);
-                if dst.contains(&e) {
-                    // Own interior: this task is the sole writer of patch
-                    // (var, e)'s interior region.
-                    let own = (var * n_oct + e) * PATCH_VOLUME;
-                    for (i, j, k) in o.iter() {
-                        // Safety: single writer per point (see fn docs).
-                        unsafe {
-                            out.write(
-                                own + p.idx(i + PADDING, j + PADDING, k + PADDING),
-                                src[o.idx(i, j, k)],
-                            )
-                        };
-                    }
+                // Own interior: this task is the sole writer of patch
+                // (var, e)'s interior region.
+                let own = (var * n_oct + e) * PATCH_VOLUME;
+                for (row, line) in src.chunks_exact(POINTS_PER_SIDE).enumerate() {
+                    let (j, k) = (row % POINTS_PER_SIDE, row / POINTS_PER_SIDE);
+                    let at = own + p.idx(PADDING, j + PADDING, k + PADDING);
+                    // Safety: single writer per point (see fn docs).
+                    unsafe { out.slice_mut(at, POINTS_PER_SIDE) }.copy_from_slice(line);
                 }
-                if needs_prolong {
-                    fl += prolong.prolong3d_ws(src, fine13, ws);
+                if let Some(b) = fbox {
+                    fl += prolong.prolong_box(src, b.lo, b.hi, &mut fine[..b.volume()], ws);
                 }
-                for op in ops.iter().filter(kept) {
+                scatter_source(ops, src, fine, fbox, |op, dst, arr, at, stride, len| {
                     let base = (var * n_oct + op.dst as usize) * PATCH_VOLUME;
-                    let sarr: &[f64] = if op.kind == ScatterKind::Prolong { fine13 } else { src };
-                    for_each_scatter_point(op, |dst_idx, src_idx| {
-                        // Safety: the write partition makes (base+dst_idx)
-                        // unique to this source octant.
-                        unsafe { out.write(base + dst_idx, sarr[src_idx]) };
-                    });
-                }
+                    // Safety: the write partition makes the row's points
+                    // unique to this source octant.
+                    let row = unsafe { out.slice_mut(base + dst, len) };
+                    copy_row(row, arr, at, stride);
+                });
             }
             fl
         })
@@ -254,27 +326,6 @@ pub fn patches_to_octants(mesh: &Mesh, patches: &PatchField, field: &mut Field) 
             );
         }
     }
-}
-
-/// Octant-parallel [`patches_to_octants`]: octant blocks are disjoint per
-/// `(var, octant)`, so each task owns its output blocks outright.
-pub fn patches_to_octants_par(
-    mesh: &Mesh,
-    patches: &PatchField,
-    field: &mut Field,
-    pool: &ThreadPool,
-) {
-    use gw_stencil::patch::BLOCK_VOLUME;
-    let dof = field.dof;
-    let n_oct = field.n_oct;
-    let out = UnsafeSlice::new(field.as_mut_slice());
-    pool.for_each(mesh.n_octants(), |e| {
-        for var in 0..dof {
-            // Safety: block (var, e) is written by task e alone.
-            let block = unsafe { out.slice_mut((var * n_oct + e) * BLOCK_VOLUME, BLOCK_VOLUME) };
-            gw_stencil::patch::patch_interior_to_octant(patches.patch(var, e), block);
-        }
-    });
 }
 
 /// Fine→coarse interface synchronization: overwrite coarse points that
@@ -324,29 +375,14 @@ pub fn sync_copies_par(syncs: &[SyncCopy], field: &mut Field, pool: &ThreadPool)
     });
 }
 
-/// Fill domain-boundary padding regions by 6th-order polynomial
-/// extrapolation along each outward axis (sufficient for the far-field
-/// boundaries, which the solver additionally treats with Sommerfeld
-/// conditions on the RHS).
+/// Fill domain-boundary padding regions by clamped copies of the nearest
+/// interior point ([`for_each_clamp_point`]; the far-field boundaries
+/// additionally get Sommerfeld conditions on the RHS).
 pub fn fill_boundary_padding(mesh: &Mesh, patches: &mut PatchField, dof: usize) {
-    let p = PatchLayout::padded();
     for var in 0..dof {
         for &(oct, delta) in &mesh.boundary_regions {
             let patch = patches.patch_mut(var, oct as usize);
-            for pz in region_range(delta[2]) {
-                for py in region_range(delta[1]) {
-                    for px in region_range(delta[0]) {
-                        // Clamp to the nearest interior point (constant
-                        // extrapolation; the physical boundary is in the
-                        // wave zone where fields are smooth and the
-                        // Sommerfeld RHS dominates).
-                        let cx = px.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                        let cy = py.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                        let cz = pz.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                        patch[p.idx(px, py, pz)] = patch[p.idx(cx, cy, cz)];
-                    }
-                }
-            }
+            for_each_clamp_point(delta, |dst, src| patch[dst] = patch[src]);
         }
     }
 }
@@ -361,47 +397,129 @@ pub fn fill_boundary_padding_par(
     dof: usize,
     pool: &ThreadPool,
 ) {
-    fill_boundary_regions_par(&mesh.boundary_regions, patches, dof, pool);
-}
-
-/// [`fill_boundary_padding_par`] over an explicit region list (a
-/// distributed rank pads only the patches it owns).
-pub fn fill_boundary_regions_par(
-    regions: &[(u32, [i8; 3])],
-    patches: &mut PatchField,
-    dof: usize,
-    pool: &ThreadPool,
-) {
+    let regions = &mesh.boundary_regions;
     let n_oct = patches.n_oct;
     let out = UnsafeSlice::new(patches.as_mut_slice());
     pool.for_each(regions.len(), |ri| {
         let (oct, delta) = regions[ri];
-        let p = PatchLayout::padded();
         for var in 0..dof {
             let base = (var * n_oct + oct as usize) * PATCH_VOLUME;
-            for pz in region_range(delta[2]) {
-                for py in region_range(delta[1]) {
-                    for px in region_range(delta[0]) {
-                        let cx = px.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                        let cy = py.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                        let cz = pz.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                        // Safety: reads hit the (never-written) interior;
-                        // each padding point belongs to exactly one region.
-                        unsafe {
-                            let v = out.read(base + p.idx(cx, cy, cz));
-                            out.write(base + p.idx(px, py, pz), v);
-                        }
-                    }
-                }
-            }
+            for_each_clamp_point(delta, |dst, src| {
+                // Safety: reads hit the (never-written) interior; each
+                // padding point belongs to exactly one region.
+                unsafe { out.write(base + dst, out.read(base + src)) };
+            });
         }
     });
 }
 
+/// The per-point walk the row walk replaced, kept as the oracle of
+/// [`for_each_scatter_row`]: `(dst_idx, src_idx)` pairs in z, y, x order.
 #[cfg(test)]
-mod tests {
+pub(crate) fn for_each_scatter_point(op: &ScatterOp, mut visit: impl FnMut(usize, usize)) {
+    let p = PatchLayout::padded();
+    let o = PatchLayout::octant();
+    match op.kind {
+        ScatterKind::Same => {
+            for pz in region_range(op.delta[2]) {
+                let ez = pz as i32 - 3 - 6 * op.delta[2] as i32;
+                for py in region_range(op.delta[1]) {
+                    let ey = py as i32 - 3 - 6 * op.delta[1] as i32;
+                    for px in region_range(op.delta[0]) {
+                        let ex = px as i32 - 3 - 6 * op.delta[0] as i32;
+                        visit(p.idx(px, py, pz), o.idx(ex as usize, ey as usize, ez as usize));
+                    }
+                }
+            }
+        }
+        ScatterKind::Inject => {
+            let valid = |i: i32, ax: usize| i >= 0 && (i < 6 || (i == 6 && op.inc6[ax]));
+            for pz in region_range(op.delta[2]) {
+                let ez = 2 * (pz as i32 - 3) - op.off[2];
+                if !valid(ez, 2) {
+                    continue;
+                }
+                for py in region_range(op.delta[1]) {
+                    let ey = 2 * (py as i32 - 3) - op.off[1];
+                    if !valid(ey, 1) {
+                        continue;
+                    }
+                    for px in region_range(op.delta[0]) {
+                        let ex = 2 * (px as i32 - 3) - op.off[0];
+                        if !valid(ex, 0) {
+                            continue;
+                        }
+                        visit(p.idx(px, py, pz), o.idx(ex as usize, ey as usize, ez as usize));
+                    }
+                }
+            }
+        }
+        ScatterKind::Prolong => {
+            let f = FINE_SIDE as i32;
+            for pz in region_range(op.delta[2]) {
+                let jz = op.off[2] + pz as i32 - 3;
+                if !(0..f).contains(&jz) {
+                    continue;
+                }
+                for py in region_range(op.delta[1]) {
+                    let jy = op.off[1] + py as i32 - 3;
+                    if !(0..f).contains(&jy) {
+                        continue;
+                    }
+                    for px in region_range(op.delta[0]) {
+                        let jx = op.off[0] + px as i32 - 3;
+                        if !(0..f).contains(&jx) {
+                            continue;
+                        }
+                        visit(p.idx(px, py, pz), ((jz * f + jy) * f + jx) as usize);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
     use gw_octree::{balance_octree, complete_octree, BalanceMode, Domain, MortonKey};
+
+    /// Levels 2–4: a uniform level-2 mesh with the domain corner
+    /// `(1, 1, 0)` refined to level 4, so octants of every level touch the
+    /// physical boundary and the refinement sits mid-curve (a rank owning
+    /// `n/3..2n/3` has interior octants and prolongs both its own blocks
+    /// and ghosts).
+    pub(crate) fn multi_level_mesh() -> Mesh {
+        let corner = MortonKey::root().children()[3].children()[3].children()[3];
+        let level2 = MortonKey::root().children().into_iter().flat_map(|k| k.children());
+        let mut seeds: Vec<MortonKey> = level2.filter(|k| !k.is_ancestor_of(&corner)).collect();
+        seeds.extend(corner.children());
+        let t = complete_octree(seeds);
+        Mesh::build(Domain::unit(), &balance_octree(&t, BalanceMode::Full))
+    }
+
+    /// Row expansion reproduces the point walk's `(dst, src)` sequence
+    /// exactly, for every op of uniform, 2-level and 3-level meshes.
+    #[test]
+    fn scatter_rows_expand_to_the_point_oracle() {
+        for (mesh, n_levels) in
+            [(uniform_mesh(2), 1), (adaptive_mesh(), 2), (multi_level_mesh(), 3)]
+        {
+            let levels: std::collections::HashSet<u8> =
+                mesh.octants.iter().map(|o| o.level).collect();
+            assert_eq!(levels.len(), n_levels);
+            for op in &mesh.scatter {
+                let mut rows = Vec::new();
+                for_each_scatter_row(op, |dst, src, stride, len| {
+                    rows.extend((0..len).map(|t| (dst + t, src + t * stride)));
+                });
+                let mut points = Vec::new();
+                for_each_scatter_point(op, |dst, src| points.push((dst, src)));
+                assert!(!points.is_empty(), "{op:?} writes nothing");
+                assert_eq!(rows, points, "{op:?}");
+            }
+        }
+    }
 
     fn adaptive_mesh() -> Mesh {
         let c0 = MortonKey::root().children()[0];
@@ -614,8 +732,6 @@ mod tests {
         p_ref.fill(f64::NAN);
         let flops_ref = fill_patches_scatter(&mesh, &f, &mut p_ref);
         fill_boundary_padding(&mesh, &mut p_ref, dof);
-        let mut back_ref = Field::zeros(dof, mesh.n_octants());
-        patches_to_octants(&mesh, &p_ref, &mut back_ref);
         let mut sync_ref = f.clone();
         sync_interfaces(&mesh, &mut sync_ref);
         for threads in [1usize, 2, 3, 8] {
@@ -631,49 +747,9 @@ mod tests {
                 bits(p_ref.as_slice()),
                 "patches differ at {threads} threads"
             );
-            let mut back = Field::zeros(dof, mesh.n_octants());
-            patches_to_octants_par(&mesh, &p, &mut back, &pool);
-            assert_eq!(bits(back.as_slice()), bits(back_ref.as_slice()));
             let mut sync = f.clone();
             sync_interfaces_par(&mesh, &mut sync, &pool);
             assert_eq!(bits(sync.as_slice()), bits(sync_ref.as_slice()));
-        }
-    }
-
-    /// A rank's two-part fill — owned sources first, then the ghosts
-    /// that feed its patches — writes exactly what the whole-mesh scatter
-    /// writes into the owned patches.
-    #[test]
-    fn owned_then_ghost_scatter_matches_whole_mesh_on_owned_patches() {
-        let mesh = adaptive_mesh();
-        let f = analytic_field(&mesh);
-        let n = mesh.n_octants();
-        let pool = gw_par::ThreadPool::new(2);
-        let mut whole = PatchField::zeros(1, n);
-        whole.fill(f64::NAN);
-        fill_patches_scatter_par(&mesh, &f, &mut whole, &pool);
-        let owned = n / 3..2 * n / 3;
-        let mine: Vec<usize> = owned.clone().collect();
-        let mut ghosts: Vec<usize> = mine
-            .iter()
-            .flat_map(|&e| mesh.gather_of(e).iter().map(|op| op.src as usize))
-            .filter(|s| !owned.contains(s))
-            .collect();
-        ghosts.sort_unstable();
-        ghosts.dedup();
-        assert!(!ghosts.is_empty());
-        let mut split = PatchField::zeros(1, n);
-        split.fill(f64::NAN);
-        fill_patches_scatter_from(&mesh, &f, &mut split, &mine, owned.clone(), &pool);
-        fill_patches_scatter_from(&mesh, &f, &mut split, &ghosts, owned.clone(), &pool);
-        let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for e in 0..n {
-            let got = split.patch(0, e);
-            if owned.contains(&e) {
-                assert_eq!(bits(got), bits(whole.patch(0, e)), "owned patch {e}");
-            } else {
-                assert!(got.iter().all(|v| v.is_nan()), "patch {e} is not owned");
-            }
         }
     }
 

@@ -111,7 +111,8 @@ pub fn inject_1d(fine: &[f64], coarse: &mut [f64]) {
     }
 }
 
-/// Reusable temporaries for [`Prolongation::prolong3d_ws`].
+/// Reusable temporaries for [`Prolongation::prolong_box`], sized for the
+/// full box.
 pub struct ProlongWorkspace {
     t1: Vec<f64>,
     t2: Vec<f64>,
@@ -131,9 +132,28 @@ impl ProlongWorkspace {
     }
 }
 
+/// `out[x] = Σ_c w[c]·src[c·stride + x]`, summed from `0.0` in tap order.
+///
+/// With `c` outer, the `x` loop is a contiguous axpy over the row, which
+/// LLVM vectorizes; each point still receives the same additions in the
+/// same order as a per-point loop over the taps.
+#[inline(always)]
+fn sweep_rows(w: &[f64; POINTS_PER_SIDE], src: &[f64], stride: usize, out: &mut [f64]) {
+    let n = out.len();
+    out.fill(0.0);
+    for (c, &wc) in w.iter().enumerate() {
+        for (o, &x) in out.iter_mut().zip(&src[c * stride..][..n]) {
+            *o += wc * x;
+        }
+    }
+}
+
 /// Precomputed tensor-product prolongation operator.
 pub struct Prolongation {
     rows: Vec<[f64; POINTS_PER_SIDE]>,
+    /// The transposed table, `cols[c][i] = rows[i][c]`: the x pass runs
+    /// along the fine (output) row.
+    cols: [[f64; FINE_SIDE]; POINTS_PER_SIDE],
 }
 
 impl Default for Prolongation {
@@ -144,7 +164,9 @@ impl Default for Prolongation {
 
 impl Prolongation {
     pub fn new() -> Self {
-        Self { rows: prolong_matrix() }
+        let rows = prolong_matrix();
+        let cols = std::array::from_fn(|c| std::array::from_fn(|i| rows[i][c]));
+        Self { rows, cols }
     }
 
     /// Number of f64 values in the operator table (`(2r−1) × r`), used by
@@ -162,81 +184,79 @@ impl Prolongation {
         self.prolong3d_ws(coarse, fine, &mut ws)
     }
 
-    /// Allocation-free variant of [`Prolongation::prolong3d`].
+    /// Allocation-free variant of [`Prolongation::prolong3d`]: the full
+    /// box of [`Prolongation::prolong_box`] (56 238 flops).
     pub fn prolong3d_ws(&self, coarse: &[f64], fine: &mut [f64], ws: &mut ProlongWorkspace) -> u64 {
+        self.prolong_box(coarse, [0; 3], [FINE_SIDE; 3], fine, ws)
+    }
+
+    /// Prolong a `r^3` coarse octant onto the fine box `lo..hi` only (per
+    /// axis, fine indices within `0..2r−1`), stored compactly x-fastest in
+    /// `fine` (`Π(hi − lo)` values).
+    ///
+    /// The passes are those of the full block — x over the coarse lines,
+    /// then y, then z over x-contiguous rows — restricted to the box's
+    /// fine rows. Every written point is the 7-tap sum from `0.0` in tap
+    /// order at every stage, coincident (even) points included, so it is
+    /// bitwise the full block's value there for any input, non-finite
+    /// values too. Returns the flops performed, `2r` per output of each
+    /// pass.
+    pub fn prolong_box(
+        &self,
+        coarse: &[f64],
+        lo: [usize; 3],
+        hi: [usize; 3],
+        fine: &mut [f64],
+        ws: &mut ProlongWorkspace,
+    ) -> u64 {
         let r = POINTS_PER_SIDE;
-        let f = FINE_SIDE;
-        debug_assert_eq!(coarse.len(), r * r * r);
-        debug_assert_eq!(fine.len(), f * f * f);
-        let mut flops = 0u64;
-        // Pass 1: x direction, (r,r,r) -> (f,r,r).
-        let t1 = &mut ws.t1;
-        for kz in 0..r {
-            for ky in 0..r {
-                for i in 0..f {
-                    let row = &self.rows[i];
-                    let mut acc = 0.0;
-                    for (c, w) in row.iter().enumerate() {
-                        acc += w * coarse[(kz * r + ky) * r + c];
-                    }
-                    t1[(kz * r + ky) * f + i] = acc;
-                    flops += 2 * r as u64;
+        assert!((0..3).all(|a| lo[a] < hi[a] && hi[a] <= FINE_SIDE), "bad box {lo:?}..{hi:?}");
+        let [nx, ny, nz] = std::array::from_fn(|a| hi[a] - lo[a]);
+        assert_eq!(coarse.len(), r * r * r);
+        assert_eq!(fine.len(), nx * ny * nz);
+        // Pass 1: x, (r,r,r) -> (nx,r,r).
+        let t1 = &mut ws.t1[..nx * r * r];
+        for (line, out) in coarse.chunks_exact(r).zip(t1.chunks_exact_mut(nx)) {
+            out.fill(0.0);
+            for (col, &x) in self.cols.iter().zip(line) {
+                for (o, &w) in out.iter_mut().zip(&col[lo[0]..hi[0]]) {
+                    *o += w * x;
                 }
             }
         }
-        // Pass 2: y direction, (f,r,r) -> (f,f,r).
-        let t2 = &mut ws.t2;
-        for kz in 0..r {
-            for j in 0..f {
-                let row = &self.rows[j];
-                for i in 0..f {
-                    let mut acc = 0.0;
-                    for (c, w) in row.iter().enumerate() {
-                        acc += w * t1[(kz * r + c) * f + i];
-                    }
-                    t2[(kz * f + j) * f + i] = acc;
-                    flops += 2 * r as u64;
-                }
+        // Pass 2: y, (nx,r,r) -> (nx,ny,r).
+        let t2 = &mut ws.t2[..nx * ny * r];
+        for (plane, out) in t1.chunks_exact(nx * r).zip(t2.chunks_exact_mut(nx * ny)) {
+            for (j, row) in (lo[1]..hi[1]).zip(out.chunks_exact_mut(nx)) {
+                sweep_rows(&self.rows[j], plane, nx, row);
             }
         }
-        // Pass 3: z direction, (f,f,r) -> (f,f,f).
-        for kk in 0..f {
-            let row = &self.rows[kk];
-            for j in 0..f {
-                for i in 0..f {
-                    let mut acc = 0.0;
-                    for (c, w) in row.iter().enumerate() {
-                        acc += w * t2[(c * f + j) * f + i];
-                    }
-                    fine[(kk * f + j) * f + i] = acc;
-                    flops += 2 * r as u64;
-                }
-            }
+        // Pass 3: z, (nx,ny,r) -> (nx,ny,nz), one x-y plane at a time.
+        for (k, plane) in (lo[2]..hi[2]).zip(fine.chunks_exact_mut(nx * ny)) {
+            sweep_rows(&self.rows[k], t2, nx * ny, plane);
         }
-        flops
+        (2 * r * (nx * r * r + nx * ny * r + nx * ny * nz)) as u64
     }
 
     /// Prolong directly into one child's `r^3` block (`child` is the Morton
     /// child index: bit 0 = x-high, bit 1 = y-high, bit 2 = z-high).
     pub fn prolong_to_child(&self, coarse: &[f64], child: usize, out: &mut [f64]) -> u64 {
+        self.prolong_to_child_ws(coarse, child, out, &mut ProlongWorkspace::new())
+    }
+
+    /// Allocation-free [`Prolongation::prolong_to_child`]: the child's
+    /// block is the fine box at offset `(r−1)` along its high axes.
+    pub fn prolong_to_child_ws(
+        &self,
+        coarse: &[f64],
+        child: usize,
+        out: &mut [f64],
+        ws: &mut ProlongWorkspace,
+    ) -> u64 {
         let r = POINTS_PER_SIDE;
         debug_assert!(child < 8);
-        debug_assert_eq!(out.len(), r * r * r);
-        let mut fine = vec![0.0f64; FINE_SIDE * FINE_SIDE * FINE_SIDE];
-        let flops = self.prolong3d(coarse, &mut fine);
-        let ox = (child & 1) * (r - 1);
-        let oy = ((child >> 1) & 1) * (r - 1);
-        let oz = ((child >> 2) & 1) * (r - 1);
-        let l = PatchLayout::octant();
-        for kz in 0..r {
-            for ky in 0..r {
-                for kx in 0..r {
-                    out[l.idx(kx, ky, kz)] =
-                        fine[((kz + oz) * FINE_SIDE + (ky + oy)) * FINE_SIDE + (kx + ox)];
-                }
-            }
-        }
-        flops
+        let lo: [usize; 3] = std::array::from_fn(|a| ((child >> a) & 1) * (r - 1));
+        self.prolong_box(coarse, lo, lo.map(|l| l + r), out, ws)
     }
 
     /// Restrict (inject) a child's `r^3` block back onto the parent: writes
@@ -266,6 +286,131 @@ impl Prolongation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-point triple loop the box sweep replaced: each output is
+    /// `Σ_c w[c]·x[c]` from `0.0` in tap order, pass by pass. The
+    /// bitwise oracle for [`Prolongation::prolong_box`].
+    fn prolong3d_oracle(coarse: &[f64]) -> Vec<f64> {
+        let rows = prolong_matrix();
+        let (r, f) = (POINTS_PER_SIDE, FINE_SIDE);
+        let mut t1 = vec![0.0; f * r * r];
+        for kz in 0..r {
+            for ky in 0..r {
+                for i in 0..f {
+                    let mut acc = 0.0;
+                    for (c, w) in rows[i].iter().enumerate() {
+                        acc += w * coarse[(kz * r + ky) * r + c];
+                    }
+                    t1[(kz * r + ky) * f + i] = acc;
+                }
+            }
+        }
+        let mut t2 = vec![0.0; f * f * r];
+        for kz in 0..r {
+            for j in 0..f {
+                for i in 0..f {
+                    let mut acc = 0.0;
+                    for (c, w) in rows[j].iter().enumerate() {
+                        acc += w * t1[(kz * r + c) * f + i];
+                    }
+                    t2[(kz * f + j) * f + i] = acc;
+                }
+            }
+        }
+        let mut fine = vec![0.0; f * f * f];
+        for kk in 0..f {
+            for j in 0..f {
+                for i in 0..f {
+                    let mut acc = 0.0;
+                    for (c, w) in rows[kk].iter().enumerate() {
+                        acc += w * t2[(c * f + j) * f + i];
+                    }
+                    fine[(kk * f + j) * f + i] = acc;
+                }
+            }
+        }
+        fine
+    }
+
+    /// Random finite coarse data: magnitudes 1e-6…1e3 of either sign,
+    /// with every 17th value a signed zero.
+    fn random_coarse(seed: u64) -> Vec<f64> {
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        (0..POINTS_PER_SIDE.pow(3))
+            .map(|i| {
+                let u = next();
+                let unit = (u >> 11) as f64 / (1u64 << 53) as f64;
+                let mag = if i % 17 == 0 { 0.0 } else { 10f64.powf(-6.0 + 9.0 * unit) };
+                if u & 1 == 0 {
+                    mag
+                } else {
+                    -mag
+                }
+            })
+            .collect()
+    }
+
+    fn assert_box_matches_oracle(coarse: &[f64], lo: [usize; 3], hi: [usize; 3]) {
+        let full = prolong3d_oracle(coarse);
+        let [nx, ny, nz] = std::array::from_fn(|a| hi[a] - lo[a]);
+        let mut got = vec![f64::NAN; nx * ny * nz];
+        Prolongation::new().prolong_box(coarse, lo, hi, &mut got, &mut ProlongWorkspace::new());
+        for k in 0..nz {
+            for j in 0..ny {
+                for i in 0..nx {
+                    let at = ((k + lo[2]) * FINE_SIDE + j + lo[1]) * FINE_SIDE + i + lo[0];
+                    let (a, b) = (got[(k * ny + j) * nx + i], full[at]);
+                    // NaN payloads may differ; NaN-ness may not.
+                    let same = a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+                    assert!(same, "box {lo:?}..{hi:?} ({i},{j},{k}): {a} vs {b}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prolong_box_matches_oracle_bitwise(
+            seed in 0u64..=u64::MAX,
+            lx in 0usize..FINE_SIDE, ly in 0usize..FINE_SIDE, lz in 0usize..FINE_SIDE,
+            ex in 1usize..=FINE_SIDE, ey in 1usize..=FINE_SIDE, ez in 1usize..=FINE_SIDE,
+        ) {
+            let lo = [lx, ly, lz];
+            let hi = [lx + ex, ly + ey, lz + ez].map(|h| h.min(FINE_SIDE));
+            assert_box_matches_oracle(&random_coarse(seed), lo, hi);
+        }
+    }
+
+    /// All-negative-zero data and non-finite values: the cases where
+    /// seeding a sum with its first product, or copying a coincident
+    /// point instead of summing (`0·∞ = NaN`), would show.
+    #[test]
+    fn full_box_matches_oracle_on_signed_zeros_and_non_finite() {
+        assert_box_matches_oracle(&random_coarse(7), [0; 3], [FINE_SIDE; 3]);
+        assert_box_matches_oracle(&[-0.0; 343], [0; 3], [FINE_SIDE; 3]);
+        assert_box_matches_oracle(&[-0.0; 343], [1, 4, 12], [2, 13, 13]);
+        let mut bad = random_coarse(9);
+        bad[100] = f64::INFINITY;
+        bad[200] = f64::NAN;
+        assert_box_matches_oracle(&bad, [0; 3], [FINE_SIDE; 3]);
+    }
+
+    #[test]
+    fn prolong3d_ws_books_nominal_flops() {
+        let p = Prolongation::new();
+        let mut fine = vec![0.0; FINE_SIDE.pow(3)];
+        let flops = p.prolong3d_ws(&[1.0; 343], &mut fine, &mut ProlongWorkspace::new());
+        assert_eq!(flops, 56_238);
+    }
 
     #[test]
     fn prolong_matrix_rows_are_partition_of_unity() {
