@@ -3,8 +3,10 @@
 //! Section IV-B: every RHS evaluation needs, per grid point, 72 first
 //! derivatives (3 × 24 variables), 66 second derivatives (6 pairs × 11
 //! variables) and 72 KO derivatives — 210 in total. This module computes
-//! them for a whole `r^3` octant block from the 24 padded patches and
-//! assembles the per-point 234-entry input vector for the `A` component.
+//! them for a whole `r^3` octant block from the 24 padded patches. The
+//! tape `A` reads the blocks in place ([`DerivWorkspace::block`]); the
+//! pointwise `A` and the Sommerfeld fix assemble a per-point 234-entry
+//! input vector.
 
 use gw_expr::symbols::{
     input_d1, input_d2, input_ko, second_deriv_slot, NUM_D1, NUM_INPUTS, NUM_KO, NUM_VARS,
@@ -52,6 +54,14 @@ fn block_mut(data: &mut [f64], input_slot: usize) -> &mut [f64] {
 impl DerivWorkspace {
     pub fn new() -> Self {
         Self { data: vec![0.0; NUM_DERIV_BLOCKS * BLOCK_VOLUME], slabs: RawSlabs::new() }
+    }
+
+    /// The `r^3` block of one derivative, by flat input index (24..234),
+    /// point-major as the octant block: the SoA row the tape reads.
+    #[inline]
+    pub(crate) fn block(&self, input_slot: usize) -> &[f64] {
+        let b = input_slot - NUM_VARS;
+        &self.data[b * BLOCK_VOLUME..(b + 1) * BLOCK_VOLUME]
     }
 
     #[inline]

@@ -8,10 +8,11 @@
 //!   can run either this or a generated tape; agreement of the two is the
 //!   same check the paper performs between hand code and SymPyGR output.
 //! * [`derivs`] — the 210-derivative evaluation on a padded patch: 72
-//!   first, 66 second, 72 Kreiss–Oliger derivatives per point, assembled
-//!   into the 234-entry input vector the `A` component consumes.
-//! * [`rhs`] — the per-patch fused RHS driver (derivatives + `A`), the
-//!   host-side reference for the device kernels in `gw-core`.
+//!   first, 66 second, 72 Kreiss–Oliger derivatives per point, stored as
+//!   per-octant blocks that the `A` component reads as its 234 inputs.
+//! * [`rhs`] — the per-patch fused RHS driver (derivatives + `A`, the
+//!   generated tape run over 49-point lane batches), the host-side
+//!   reference for the device kernels in `gw-core`.
 //! * [`init`] — initial data: Brandt–Brügmann punctures with Bowen–York
 //!   extrinsic curvature (binary black holes), and a linearized
 //!   gravitational-wave packet with an analytic solution (propagation and

@@ -1052,6 +1052,19 @@ mod tests {
         assert!(d.spill_load_bytes > 0, "generated kernel must report spills");
         // The RHS is bandwidth bound: AI well below the A100 ridge.
         assert!(d.arithmetic_intensity() < 10.0);
+
+        // The RHS kernel alone books the nominal derivative flops plus the
+        // tape's compile-time flop and spill counts at every point, however
+        // the host interpreter batches the points.
+        let tape = gpu.tape.as_ref().expect("generated backend compiles a tape");
+        let (tape_flops, spills) = (tape.flops, tape.spill_stats);
+        let pts = (mesh.n_octants() * BLOCK_VOLUME) as u64;
+        let before = gpu.counters();
+        gpu.rhs_only(&mesh, Buf::K);
+        let d = gpu.counters().delta_since(&before);
+        assert_eq!(d.flops, pts * (gw_bssn::derivs::DERIV_FLOPS_PER_POINT + tape_flops));
+        assert_eq!(d.spill_load_bytes, pts * spills.spill_load_bytes);
+        assert_eq!(d.spill_store_bytes, pts * spills.spill_store_bytes);
     }
 
     #[test]

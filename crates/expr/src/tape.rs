@@ -2,10 +2,15 @@
 //!
 //! A [`Tape`] is the bytecode the "code generator" emits — the runnable
 //! artifact corresponding to the CUDA C the paper's SymPyGR pipeline
-//! produces. The solver's generated-RHS backends interpret one tape per
-//! grid point (the `A` component of the RHS); the three scheduling
-//! strategies produce tapes with identical arithmetic but different
-//! temporary-slot footprints, which is what Fig. 11 / Table II measure.
+//! produces. The solver's generated-RHS backends run it as the `A`
+//! component of the RHS. A GPU runs the generated code one thread per
+//! grid point, so a warp issues each instruction once for 32 points;
+//! [`Tape::eval_lanes`] does the same on the host, decoding each
+//! instruction once for a batch of points held in SoA lanes (the solver
+//! batches one 49-point k-plane of the 7³ block), and [`Tape::eval_into`]
+//! is its one-lane instance. The three scheduling strategies produce
+//! tapes with identical arithmetic but different temporary-slot
+//! footprints, which is what Fig. 11 / Table II measure.
 //!
 //! Slot allocation reuses freed slots, so the tape's `n_slots` equals the
 //! schedule's peak live count plus the operand window — the working-set
@@ -70,7 +75,8 @@ pub enum TapeInstr {
 pub struct Tape {
     pub instrs: Vec<TapeInstr>,
     pub constants: Vec<f64>,
-    /// Temporary slots needed by [`Tape::eval_into`].
+    /// Temporary slots (lane rows, for [`Tape::eval_lanes`]) an
+    /// evaluation needs.
     pub n_slots: usize,
     pub n_inputs: usize,
     pub n_outputs: usize,
@@ -101,7 +107,7 @@ impl Tape {
         let out_positions: HashMap<NodeId, Vec<u16>> = {
             let mut m: HashMap<NodeId, Vec<u16>> = HashMap::new();
             for (i, &o) in schedule.outputs.iter().enumerate() {
-                m.entry(o).or_default().push(i as u16);
+                m.entry(o).or_default().push(field(i, "output position"));
             }
             m
         };
@@ -114,7 +120,9 @@ impl Tape {
         let alloc = |free: &mut Vec<u16>, n_slots: &mut u16| -> u16 {
             free.pop().unwrap_or_else(|| {
                 let s = *n_slots;
-                *n_slots += 1;
+                *n_slots = n_slots.checked_add(1).unwrap_or_else(|| {
+                    panic!("tape: needs more than {} temporary slots", u16::MAX)
+                });
                 s
             })
         };
@@ -127,7 +135,7 @@ impl Tape {
                     Op::Const(bits) => {
                         let c = *const_idx.entry(bits).or_insert_with(|| {
                             constants.push(f64::from_bits(bits));
-                            (constants.len() - 1) as u16
+                            field(constants.len() - 1, "constant index")
                         });
                         let dst = alloc(&mut free, &mut n_slots);
                         instrs.push(TapeInstr::Const { dst, c });
@@ -135,7 +143,7 @@ impl Tape {
                     }
                     Op::Sym(i) => {
                         let dst = alloc(&mut free, &mut n_slots);
-                        instrs.push(TapeInstr::Input { dst, i: i as u16 });
+                        instrs.push(TapeInstr::Input { dst, i: field(i as usize, "input index") });
                         (dst, true)
                     }
                     _ => (*slot_of.get(&id).expect("operand scheduled"), false),
@@ -190,7 +198,13 @@ impl Tape {
                 Op::Mul(..) => TapeInstr::Mul { dst, a: sa, b: sb.unwrap() },
                 Op::Div(..) => TapeInstr::Div { dst, a: sa, b: sb.unwrap() },
                 Op::Neg(_) => TapeInstr::Neg { dst, a: sa },
-                Op::Pow(_, k) => TapeInstr::Powi { dst, a: sa, n: k as i16 },
+                Op::Pow(_, k) => TapeInstr::Powi {
+                    dst,
+                    a: sa,
+                    n: i16::try_from(k).unwrap_or_else(|_| {
+                        panic!("tape: pow exponent {k} outside the i16 range of Powi")
+                    }),
+                },
                 _ => unreachable!(),
             });
             // Emit outputs immediately (store-to-global in Algorithm 3).
@@ -211,17 +225,17 @@ impl Tape {
                 Op::Const(bits) => {
                     let c = *const_idx.entry(bits).or_insert_with(|| {
                         constants.push(f64::from_bits(bits));
-                        (constants.len() - 1) as u16
+                        field(constants.len() - 1, "constant index")
                     });
                     let dst = alloc(&mut free, &mut n_slots);
                     instrs.push(TapeInstr::Const { dst, c });
-                    instrs.push(TapeInstr::Output { o: i as u16, a: dst });
+                    instrs.push(TapeInstr::Output { o: field(i, "output position"), a: dst });
                     free.push(dst);
                 }
                 Op::Sym(s) => {
                     let dst = alloc(&mut free, &mut n_slots);
-                    instrs.push(TapeInstr::Input { dst, i: s as u16 });
-                    instrs.push(TapeInstr::Output { o: i as u16, a: dst });
+                    instrs.push(TapeInstr::Input { dst, i: field(s as usize, "input index") });
+                    instrs.push(TapeInstr::Output { o: field(i, "output position"), a: dst });
                     free.push(dst);
                 }
                 _ => {}
@@ -249,15 +263,124 @@ impl Tape {
         }
     }
 
-    /// Evaluate the tape for one point. `slots` must have `n_slots`
-    /// capacity and is reused across calls (the hot-loop workhorse
-    /// buffer).
-    pub fn eval_into(&self, inputs: &[f64], outputs: &mut [f64], slots: &mut [f64]) {
-        debug_assert!(slots.len() >= self.n_slots);
+    /// Evaluate the tape for `L` points at once, the interpreter's
+    /// counterpart of a warp running the generated code: each instruction
+    /// is decoded once and applied to all `L` lanes in one fixed-length
+    /// loop. Lane `l` reads input `i` from `rows[i][start + l]` and writes
+    /// output `o` to `outputs[o][start + l]`; `slots` needs `n_slots`
+    /// entries. Every lane runs the same operations in the same order as
+    /// [`Tape::eval_into`] on that point's inputs, so the results are
+    /// bitwise equal.
+    pub fn eval_lanes<const L: usize>(
+        &self,
+        rows: &[&[f64]],
+        start: usize,
+        outputs: &mut [&mut [f64]],
+        slots: &mut [[f64; L]],
+    ) {
+        debug_assert!(rows.len() >= self.n_inputs);
         debug_assert!(outputs.len() >= self.n_outputs);
+        self.run(
+            |i| rows[i][start..start + L].try_into().expect("input row covers the batch"),
+            |o, v| outputs[o][start..start + L].copy_from_slice(v),
+            slots,
+        );
+    }
+
+    /// Evaluate the tape for one point: the one-lane instance of
+    /// [`Tape::eval_lanes`]. `slots` must have `n_slots` capacity and is
+    /// reused across calls (the hot-loop workhorse buffer).
+    pub fn eval_into(&self, inputs: &[f64], outputs: &mut [f64], slots: &mut [f64]) {
+        debug_assert!(outputs.len() >= self.n_outputs);
+        let (slots, _) = slots.as_chunks_mut::<1>();
+        self.run(|i| std::array::from_ref(&inputs[i]), |o, v| outputs[o] = v[0], slots);
+    }
+
+    /// The interpreter loop shared by every lane count.
+    #[inline(always)]
+    fn run<'a, const L: usize>(
+        &self,
+        input: impl Fn(usize) -> &'a [f64; L],
+        mut output: impl FnMut(usize, &[f64; L]),
+        slots: &mut [[f64; L]],
+    ) {
+        debug_assert!(slots.len() >= self.n_slots);
         for ins in &self.instrs {
             match *ins {
-                TapeInstr::Const { dst, c } => slots[dst as usize] = self.constants[c as usize],
+                TapeInstr::Const { dst, c } => {
+                    slots[dst as usize] = [self.constants[c as usize]; L]
+                }
+                TapeInstr::Input { dst, i } => slots[dst as usize] = *input(i as usize),
+                TapeInstr::Add { dst, a, b } => binary(slots, dst, a, b, |x, y| x + y),
+                TapeInstr::Sub { dst, a, b } => binary(slots, dst, a, b, |x, y| x - y),
+                TapeInstr::Mul { dst, a, b } => binary(slots, dst, a, b, |x, y| x * y),
+                TapeInstr::Div { dst, a, b } => binary(slots, dst, a, b, |x, y| x / y),
+                TapeInstr::Neg { dst, a } => unary(slots, dst, a, |x| -x),
+                TapeInstr::Powi { dst, a, n } => unary(slots, dst, a, |x| x.powi(n as i32)),
+                TapeInstr::Output { o, a } => output(o as usize, &slots[a as usize]),
+            }
+        }
+    }
+
+    /// Convenience single-point evaluation with fresh buffers.
+    pub fn eval(&self, inputs: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; self.n_outputs];
+        let mut slots = vec![0.0; self.n_slots];
+        self.eval_into(inputs, &mut out, &mut slots);
+        out
+    }
+}
+
+/// Narrow an index into a `u16` instruction field, naming the limit
+/// instead of truncating.
+fn field(v: usize, what: &str) -> u16 {
+    u16::try_from(v)
+        .unwrap_or_else(|_| panic!("tape: {what} {v} exceeds the u16 field limit {}", u16::MAX))
+}
+
+/// `slots[dst] = f(slots[a], slots[b])` lane by lane. `dst` may alias an
+/// operand, so the lanes are computed before the store.
+#[inline(always)]
+fn binary<const L: usize>(
+    slots: &mut [[f64; L]],
+    dst: u16,
+    a: u16,
+    b: u16,
+    f: impl Fn(f64, f64) -> f64,
+) {
+    let (x, y) = (&slots[a as usize], &slots[b as usize]);
+    let mut r = [0.0; L];
+    for ((r, &x), &y) in r.iter_mut().zip(x).zip(y) {
+        *r = f(x, y);
+    }
+    slots[dst as usize] = r;
+}
+
+/// `slots[dst] = f(slots[a])` lane by lane.
+#[inline(always)]
+fn unary<const L: usize>(slots: &mut [[f64; L]], dst: u16, a: u16, f: impl Fn(f64) -> f64) {
+    let x = &slots[a as usize];
+    let mut r = [0.0; L];
+    for (r, &x) in r.iter_mut().zip(x) {
+        *r = f(x);
+    }
+    slots[dst as usize] = r;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bssn::{build_bssn_rhs, BssnParams};
+    use crate::schedule::{schedule, ScheduleStrategy};
+    use crate::symbols::NUM_INPUTS;
+
+    /// The one-point interpreter loop [`Tape::eval_lanes`] replaced: the
+    /// bitwise reference for every lane count.
+    fn eval_scalar(t: &Tape, inputs: &[f64], outputs: &mut [f64]) {
+        let mut slots = vec![0.0; t.n_slots];
+        for ins in &t.instrs {
+            match *ins {
+                TapeInstr::Const { dst, c } => slots[dst as usize] = t.constants[c as usize],
                 TapeInstr::Input { dst, i } => slots[dst as usize] = inputs[i as usize],
                 TapeInstr::Add { dst, a, b } => {
                     slots[dst as usize] = slots[a as usize] + slots[b as usize]
@@ -280,21 +403,40 @@ impl Tape {
         }
     }
 
-    /// Convenience single-point evaluation with fresh buffers.
-    pub fn eval(&self, inputs: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.n_outputs];
-        let mut slots = vec![0.0; self.n_slots];
-        self.eval_into(inputs, &mut out, &mut slots);
-        out
+    /// Bitwise equality, except that any NaN matches any NaN: Rust leaves
+    /// the payload of an arithmetic NaN unspecified (which operand's
+    /// payload propagates may differ between scalar and vector code).
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::bssn::{build_bssn_rhs, BssnParams};
-    use crate::schedule::{schedule, ScheduleStrategy};
-    use crate::symbols::NUM_INPUTS;
+    /// Evaluate `t` over `L` lanes of `rows` (input-major, one row per
+    /// input) and check every lane bitwise against [`eval_scalar`] and
+    /// against [`Tape::eval_into`].
+    pub(super) fn check_lanes<const L: usize>(t: &Tape, rows: &[Vec<f64>], start: usize) {
+        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let mut out = vec![vec![f64::NAN; start + L]; t.n_outputs];
+        let mut views: Vec<&mut [f64]> = out.iter_mut().map(|r| r.as_mut_slice()).collect();
+        let mut slots = vec![[0.0; L]; t.n_slots];
+        t.eval_lanes::<L>(&refs, start, &mut views, &mut slots);
+        let (mut expect, mut one) = (vec![0.0; t.n_outputs], vec![0.0; t.n_outputs]);
+        let mut one_slots = vec![0.0; t.n_slots];
+        for l in 0..L {
+            let inputs: Vec<f64> = rows.iter().map(|r| r[start + l]).collect();
+            eval_scalar(t, &inputs, &mut expect);
+            t.eval_into(&inputs, &mut one, &mut one_slots);
+            for o in 0..t.n_outputs {
+                let got = out[o][start + l];
+                assert!(
+                    same_bits(got, expect[o]) && same_bits(one[o], expect[o]),
+                    "{} output {o} lane {l}: lanes {got:e}, one lane {:e}, oracle {:e}",
+                    t.strategy_name,
+                    one[o],
+                    expect[o]
+                );
+            }
+        }
+    }
 
     #[test]
     fn tape_matches_graph_eval_on_toy() {
@@ -350,6 +492,38 @@ mod tests {
     }
 
     #[test]
+    fn bssn_tapes_run_bitwise_over_lanes() {
+        let rhs = build_bssn_rhs(BssnParams::default());
+        // 49 points near flat space, one input row each.
+        let mut seed = 0x9e3779b97f4a7c15u64;
+        let mut rng = move || {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((seed >> 33) as f64 / (1u64 << 31) as f64 - 1.0) * 0.01
+        };
+        let mut rows: Vec<Vec<f64>> =
+            (0..NUM_INPUTS).map(|_| (0..49).map(|_| rng()).collect()).collect();
+        use crate::symbols::{input_value, var};
+        for v in [var::ALPHA, var::CHI, var::gt(0, 0), var::gt(1, 1), var::gt(2, 2)] {
+            rows[input_value(v)].iter_mut().for_each(|x| *x += 1.0);
+        }
+        for s in ScheduleStrategy::all() {
+            let sch = schedule(&rhs.graph, &rhs.outputs, s);
+            let tape = Tape::compile(&rhs.graph, &sch, 56);
+            check_lanes::<49>(&tape, &rows, 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pow exponent 40000")]
+    fn oversized_pow_exponent_is_rejected() {
+        let mut g = ExprGraph::new();
+        let x = g.sym(0);
+        let p = g.pow(x, 40_000);
+        let sch = schedule(&g, &[p], ScheduleStrategy::CseTopo);
+        Tape::compile(&g, &sch, 56);
+    }
+
+    #[test]
     fn slot_counts_reflect_live_ranges() {
         let rhs = build_bssn_rhs(BssnParams::default());
         let slots = |s: ScheduleStrategy| {
@@ -395,11 +569,13 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::check_lanes;
     use super::*;
     use crate::schedule::{schedule, ScheduleStrategy};
     use proptest::prelude::*;
 
-    /// Build a random DAG over 4 inputs from a sequence of op codes; every
+    /// Build a random DAG over 4 inputs from a sequence of op codes
+    /// (0–5 without division or negative powers, 0–9 with them); every
     /// new node picks operands among the existing nodes.
     fn build_random(ops: &[(u8, u8, u8)], g: &mut ExprGraph) -> Vec<NodeId> {
         let mut pool: Vec<NodeId> = (0..4).map(|i| g.sym(i)).collect();
@@ -408,12 +584,16 @@ mod proptests {
         for &(op, a, b) in ops {
             let x = pool[a as usize % pool.len()];
             let y = pool[b as usize % pool.len()];
-            let n = match op % 6 {
+            let n = match op {
                 0 => g.add(x, y),
                 1 => g.sub(x, y),
                 2 => g.mul(x, y),
                 3 => g.neg(x),
                 4 => g.pow(x, 2),
+                6 => g.div(x, y),
+                7 => g.pow(x, -1),
+                8 => g.pow(x, -2),
+                9 => g.pow(x, 3),
                 _ => g.add(x, y),
             };
             pool.push(n);
@@ -453,6 +633,42 @@ mod proptests {
                 // Spill model must be well-defined even at a tiny budget.
                 let s = crate::regalloc::simulate_spills(&g, &sch, 2);
                 prop_assert!(s.spill_load_bytes >= s.spill_store_bytes || s.spill_store_bytes == 0 || s.spill_load_bytes > 0);
+            }
+        }
+    }
+
+    /// Lane values: ordinary magnitudes, with one in eight a signed zero.
+    fn lane_value() -> impl Strategy<Value = f64> {
+        (0u8..8, -2.0f64..2.0).prop_map(|(pick, x)| match pick {
+            0 => 0.0,
+            1 => -0.0,
+            _ => x,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn lanes_match_the_scalar_oracle_bitwise(
+            ops in prop::collection::vec((0u8..10, 0u8..64, 0u8..64), 1..40),
+            values in prop::collection::vec(lane_value(), 4 * 98),
+            start in (0usize..2).prop_map(|b| 49 * b),
+            bad in (0usize..4, 0usize..98, 0usize..3),
+        ) {
+            let mut g = ExprGraph::new();
+            let roots = build_random(&ops, &mut g);
+            let interior_roots: Vec<NodeId> =
+                roots.iter().copied().filter(|r| !g.op(*r).is_leaf()).collect();
+            prop_assume!(!interior_roots.is_empty());
+            // Four input rows of 98 points; one point holds a non-finite
+            // value. Each lane is checked against its own scalar
+            // evaluation, so a NaN or inf spilling into a neighbour lane
+            // would fail the check.
+            let mut rows: Vec<Vec<f64>> = values.chunks(98).map(|c| c.to_vec()).collect();
+            rows[bad.0][bad.1] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][bad.2];
+            for strat in ScheduleStrategy::all() {
+                let tape = Tape::compile(&g, &schedule(&g, &interior_roots, strat), 8);
+                check_lanes::<49>(&tape, &rows, start);
             }
         }
     }
